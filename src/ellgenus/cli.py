@@ -22,6 +22,7 @@ from .dga import differential
 from .geom import ChernRootModel, ManifoldDescriptor
 from .pfaff import (
     PfaffianRouteMismatch,
+    block_norm_pfaffian,
     product_exponential_form,
     regularized_product,
 )
@@ -36,6 +37,7 @@ from .qmod import (
     eisenstein_q,
     quasi_modular_decompose,
     transform_residual,
+    z2plus_shell,
 )
 from .scalars import QI, zeta_even_over_pi_power
 from .witten import (
@@ -85,6 +87,18 @@ def _parse_tau(text: str) -> complex:
 def _tau_exact(text: str) -> QI:
     re, _, im = text.partition(",")
     return QI(Fraction(re), Fraction(im))
+
+
+def _read_record(path: str, parse):
+    """parse(record) for the JSON object in a file; a malformed one is a ValueError."""
+    with open(path) as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(record).__name__}")
+    try:
+        return parse(record)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed record: {exc}") from exc
 
 
 def _config_record(report: Report, args, **extra):
@@ -214,8 +228,7 @@ def _cmd_witten_class(args, report: Report) -> int:
 
 
 def _cmd_genus(args, report: Report) -> int:
-    with open(args.descriptor) as fh:
-        descriptor = ManifoldDescriptor.from_record(json.load(fh))
+    descriptor = _read_record(args.descriptor, ManifoldDescriptor.from_record)
     _config_record(
         report, args, descriptor=args.descriptor, dim=descriptor.dim,
         pontryagin_numbers=descriptor.to_record()["pontryagin_numbers"],
@@ -249,8 +262,7 @@ def _mono_dict(coeffs: dict) -> dict:
 
 
 def _cmd_decompose(args, report: Report) -> int:
-    with open(args.series) as fh:
-        series = QSeries.from_record(json.load(fh))
+    series = _read_record(args.series, QSeries.from_record)
     _config_record(report, args, series=args.series, weight=series.weight, order=series.order)
     try:
         dec = quasi_modular_decompose(series)
@@ -301,21 +313,18 @@ def _cmd_pfaffian_product(args, report: Report) -> int:
 
 
 def _product_table(model, bounds, tau):
-    """Products at several shell bounds: vectorized per bound for one root,
-    a single incremental pass over shells otherwise."""
+    """Products at several shell bounds: the closed form per bound for one root,
+    a single incremental pass over the blocks shell by shell otherwise."""
     if model.r == 1:
         for bound in bounds:
             yield bound, regularized_product(model, bound, tau, dga.COMPLEX, verify_routes=False)
         return
-    from .pfaff import block_norm_pfaffian
-    from .qmod import z2plus_points
-
     want = set(bounds)
     acc = model.algebra.one(dga.COMPLEX)
-    points = iter(z2plus_points(max(bounds)))
     for s in range(1, max(bounds) + 1):
-        for _ in range(4 * s):  # shell s of Z^2_+ has 4s points
-            acc = acc * block_norm_pfaffian(next(points), model, tau, dga.COMPLEX, False)
+        n, m = z2plus_shell(s)
+        for point in zip(n.tolist(), m.tolist()):
+            acc = acc * block_norm_pfaffian(point, model, tau, dga.COMPLEX, False)
         if s in want:
             yield s, acc
 
@@ -331,6 +340,8 @@ def _table_bounds(shells: int):
 
 def _cmd_anomaly(args, report: Report) -> int:
     model = ChernRootModel(args.roots, args.dim)
+    if model.p1().is_zero():
+        raise ValueError("the anomaly divides by p1, which is zero here: need --roots >= 1 and --dim >= 4")
     _config_record(report, args, roots=args.roots, dim=args.dim, q_order=args.q_order)
     delta = anomaly_delta(model, args.q_order)
     da = differential(anomaly_primitive(model, args.q_order))
@@ -342,8 +353,7 @@ def _cmd_anomaly(args, report: Report) -> int:
 
 
 def _cmd_localize(args, report: Report) -> int:
-    with open(args.problem) as fh:
-        problem = EquivariantSurfaceProblem.loads(fh.read())
+    problem = _read_record(args.problem, EquivariantSurfaceProblem.from_record)
     _config_record(
         report, args, problem=args.problem, s=str(problem.s), grid=problem.grid,
         tolerance=args.tolerance,

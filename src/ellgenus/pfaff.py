@@ -28,7 +28,7 @@ import numpy as np
 from . import dga
 from .dga import Element, unit_inverse
 from .geom import ChernRootModel
-from .qmod import z2plus_points, z2plus_arrays
+from .qmod import z2plus_points, z2plus_power_sums
 from .scalars import QI, PiScalar, bernoulli, two_pi_i_times
 
 
@@ -350,46 +350,19 @@ def regularized_product(model: ChernRootModel, shell_bound: int, tau, mode=dga.P
 
     Blocks are independent; the reduction follows the shell enumeration order
     deterministically (part of the semantics for the conditional k = 1 part).
+    Complex mode without route checks returns product_exponential_form, the
+    closed form the block product equals at every truncation.
     """
     if shell_bound < 0:
         raise ValueError("shell bound must be >= 0")
     if verify_routes is None:
         verify_routes = mode != dga.COMPLEX
-    if mode == dga.COMPLEX and model.r == 1 and not verify_routes:
-        return _product_fast_rank1(model, shell_bound, tau)
+    if mode == dga.COMPLEX and not verify_routes:
+        return product_exponential_form(model, shell_bound, tau, mode)
     acc = model.algebra.one(mode)
     for n, m in z2plus_points(shell_bound):
         acc = acc * block_norm_pfaffian((n, m), model, tau, mode, verify_routes)
     return acc
-
-
-def _product_fast_rank1(model: ChernRootModel, shell_bound: int, tau) -> Element:
-    """Vectorized complex-mode product for a single root.
-
-    Each block is 1 + c_j * X with X = b^2 x1^2 nilpotent, so the product's
-    X^p coefficient is the elementary symmetric polynomial e_p of the c_j,
-    recovered from numpy power sums via Newton's identities.
-    """
-    alg = model.algebra
-    if shell_bound == 0:
-        return alg.one(dga.COMPLEX)
-    n, m = z2plus_arrays(shell_bound)
-    z = n * complex(tau) - m
-    c = -1.0 / (z * z)
-    pmax = model.dim // 4
-    power_sums = [np.sum(c**t) for t in range(1, pmax + 1)]
-    elem = [1.0 + 0j]
-    for t in range(1, pmax + 1):
-        acc = 0j
-        for i in range(1, t + 1):
-            acc += (-1) ** (i - 1) * elem[t - i] * power_sums[i - 1]
-        elem.append(acc / t)
-    ib = alg.index["b"]
-    ix = alg.index["x1"]
-    terms = {(): 1.0 + 0j}
-    for p in range(1, pmax + 1):
-        terms[((ib, 2 * p), (ix, 2 * p))] = complex(elem[p])
-    return alg.element(terms, dga.COMPLEX)
 
 
 def product_exponential_form(model: ChernRootModel, shell_bound: int, tau, mode=dga.PI) -> Element:
@@ -399,20 +372,12 @@ def product_exponential_form(model: ChernRootModel, shell_bound: int, tau, mode=
     truncation (nilpotency); over the symmetrized index set the exponent reads
     -sum_k beta^{2k} s_k P^sym_{2k} / (2k).
     """
-    alg = model.algebra
-    arg = alg.zero(mode)
+    arg = model.algebra.zero(mode)
     beta = model.beta(mode)
-    pts = list(z2plus_points(shell_bound))
-    for k in range(1, model.dim // 4 + 1):
-        if mode == dga.COMPLEX:
-            p2k = sum(1.0 / (n * complex(tau) - m) ** (2 * k) for n, m in pts)
-            scal = p2k * (-1.0 / k)
-        else:
-            tq = _tau_qi(tau)
-            p2k = QI(0)
-            for n, m in pts:
-                p2k = p2k + (QI(n) * tq - QI(m)) ** (-2 * k)
-            scal = dga.coerce(mode, p2k * QI(Fraction(-1, k)))
+    numeric = mode == dga.COMPLEX
+    sums = z2plus_power_sums(model.dim // 4, shell_bound, complex(tau) if numeric else _tau_qi(tau))
+    for k, p2k in enumerate(sums, 1):
+        scal = p2k * (-1.0 / k) if numeric else dga.coerce(mode, p2k * QI(Fraction(-1, k)))
         arg = arg + model.power_sum(k, mode) * beta ** (2 * k) * scal
     return dga.exp_nilpotent(arg)
 
@@ -447,15 +412,21 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
 
     Each +-n pair contributes det(Id + N/n) det(Id - N/n) = det(Id + N/n)^2, so
     the pair's inverse square root is a single inverse determinant.  Converges
-    coefficientwise to prod_j (x_j/2)/sinh(x_j/2).
+    coefficientwise to prod_j (x_j/2)/sinh(x_j/2).  Complex mode resums the
+    product as exp(-sum_k (-1)^{k-1} s_k sum_n c_n^k / k), c_n = 1/(2 pi n)^2.
     """
     if mode_bound < 0:
         raise ValueError("mode bound must be >= 0")
     alg = model.algebra
     if model.r == 0 or mode_bound == 0:
         return alg.one(mode)
-    if mode == dga.COMPLEX and model.r == 1:
-        return _a_hat_fast_rank1(model, mode_bound)
+    if mode == dga.COMPLEX:
+        n = np.arange(1, mode_bound + 1, dtype=np.float64)
+        c = 1.0 / (4 * math.pi**2 * n * n)
+        arg = alg.zero(mode)
+        for k in range(1, model.dim // 4 + 1):
+            arg = arg + model.power_sum(k, mode) * ((-1) ** k * float(np.sum(c**k)) / k)
+        return dga.exp_nilpotent(arg)
     acc = alg.one(mode)
     for n in range(1, mode_bound + 1):
         dplus = determinant(a_hat_mode_matrix(model, n, mode, +1))
@@ -464,25 +435,6 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
             raise PfaffianRouteMismatch(f"mode {n}: det+ != det-")
         acc = acc * dplus
     return unit_inverse(acc)
-
-
-def _a_hat_fast_rank1(model: ChernRootModel, mode_bound: int) -> Element:
-    alg = model.algebra
-    n = np.arange(1, mode_bound + 1, dtype=np.float64)
-    c = 1.0 / (4 * math.pi**2 * n * n)
-    pmax = model.dim // 4  # x1^{2p} survives while 4p <= dim
-    power_sums = [float(np.sum(c**t)) for t in range(1, pmax + 1)]
-    elem = [1.0]
-    for t in range(1, pmax + 1):
-        acc = 0.0
-        for i in range(1, t + 1):
-            acc += (-1) ** (i - 1) * elem[t - i] * power_sums[i - 1]
-        elem.append(acc / t)
-    ix = alg.index["x1"]
-    terms = {(): complex(1.0)}
-    for p in range(1, pmax + 1):
-        terms[((ix, 2 * p),)] = complex(elem[p])
-    return unit_inverse(alg.element(terms, dga.COMPLEX))
 
 
 def a_hat_class(model: ChernRootModel, mode=dga.RATIONAL) -> Element:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import bernoulli
+from .scalars import QI, bernoulli
 
 
 class WeightMismatch(ValueError):
@@ -340,7 +340,8 @@ class LatticeOrdering:
     """Enumeration strategy for sums over Z^2 \\ {0}.
 
     variant:
-      "shells"    symmetric square shells max(|m|,|n|) = s, s = 1..max_norm
+      "shells"    symmetric square shells max(|m|,|n|) = s, s = 1..max_norm,
+                  summed as the Z^2_+ shell doubled (even powers; odd ones cancel)
       "z2plus"    the half lattice Z^2_+ = {(n, m): m < 0, or m = 0 and n > 0}
                   intersected with max(|m|,|n|) <= shell bound
       "rowmajor"  for each m in [-M, M], the full n-range [-N, N]; realizes the
@@ -370,32 +371,48 @@ Z2PLUS = LatticeOrdering("z2plus")
 ROWMAJOR = LatticeOrdering("rowmajor")
 
 
+def z2plus_shell(s: int):
+    """Shell s of Z^2_+ (max(|n|, |m|) = s) as (n, m) integer arrays of 4s points.
+
+    The one definition of the half lattice and its order: the m = -s edge with
+    n = -s..s, the n = -s then n = s sides with m = -s+1..-1, then (s, 0).
+    """
+    n = np.concatenate([np.arange(-s, s + 1), np.full(s - 1, -s), np.full(s - 1, s), [s]])
+    m = np.concatenate([np.full(2 * s + 1, -s), np.arange(-s + 1, 0), np.arange(-s + 1, 0), [0]])
+    return n, m
+
+
 def z2plus_points(bound: int):
-    """Deterministic enumeration of Z^2_+ within max(|m|,|n|) <= bound, by shell."""
+    """Z^2_+ within max(|m|,|n|) <= bound as Python int pairs (n, m), shell order."""
     for s in range(1, bound + 1):
-        shell = []
-        for n in range(-s, s + 1):
-            shell.append((n, -s))
-        for m in range(-s + 1, 0):
-            shell.append((-s, m))
-            shell.append((s, m))
-        shell.append((s, 0))
-        yield from sorted(shell)
+        n, m = z2plus_shell(s)
+        yield from zip(n.tolist(), m.tolist())
 
 
-def z2plus_arrays(bound: int):
-    """All of Z^2_+ within max-norm <= bound as (n, m) numpy arrays, shell order."""
-    ns, ms = [], []
+def z2plus_power_sums(k_max: int, bound: int, tau) -> list:
+    """[P_2, ..., P_{2 k_max}] with P_{2k} = sum over Z^2_+ within the bound of (n tau - m)^{-2k}.
+
+    A QI tau gives exact QI sums (one inverse square per point, running
+    products over k); any other tau gives complex sums accumulated shell by shell.
+    """
+    if isinstance(tau, QI):
+        sums = [QI(0)] * k_max
+        for n, m in z2plus_points(bound):
+            inv2 = ((QI(n) * tau - QI(m)) ** 2).inverse()
+            term = inv2
+            for k in range(k_max):
+                sums[k] = sums[k] + term
+                term = term * inv2
+        return sums
+    sums = [0j] * k_max
     for s in range(1, bound + 1):
-        n = np.concatenate(
-            [np.arange(-s, s + 1), np.full(s - 1, -s), np.full(s - 1, s), [s]]
-        )
-        m = np.concatenate(
-            [np.full(2 * s + 1, -s), np.arange(-s + 1, 0), np.arange(-s + 1, 0), [0]]
-        )
-        ns.append(n)
-        ms.append(m)
-    return np.concatenate(ns).astype(np.float64), np.concatenate(ms).astype(np.float64)
+        n, m = z2plus_shell(s)
+        inv2 = 1.0 / (n * complex(tau) - m) ** 2
+        term = inv2
+        for k in range(k_max):
+            sums[k] += complex(np.sum(term))
+            term = term * inv2
+    return sums
 
 
 def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bound: int) -> complex:
@@ -408,25 +425,20 @@ def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bou
         raise ValueError("tau must lie in the upper half plane")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if ordering.variant == "shells":
-        total = 0.0 + 0.0j
-        pair = 1 + (-1) ** power
-        if pair == 0:
+    pair = 1 + (-1) ** power
+    if ordering.variant != "rowmajor":
+        # a square shell is its Z^2_+ part and that part's mirror image
+        if ordering.variant == "z2plus":
+            pair = 1
+        elif pair == 0:
             return 0j  # (n, m) <-> (-n, -m) antisymmetry, exactly
-        for s in range(1, ordering.effective_ranges(bound)[0] + 1):
-            m, n = _half_shell(s)
-            z = m * tau + n
-            total += pair * np.sum(z ** (-power))
-        return complex(total)
-    if ordering.variant == "z2plus":
         total = 0.0 + 0.0j
         for s in range(1, ordering.effective_ranges(bound)[0] + 1):
-            n, m = _z2plus_shell(s)
-            total += np.sum((m * tau + n) ** (-power))
+            n, m = z2plus_shell(s)
+            total += pair * np.sum((m * tau + n) ** (-power))
         return complex(total)
     # row-major: m = 0 row, then paired rows +-m
     m_range, n_range = ordering.effective_ranges(bound)
-    pair = 1 + (-1) ** power
     total = 0.0 + 0.0j
     chunk = 1 << 20
     for lo in range(1, n_range + 1, chunk):
@@ -439,21 +451,6 @@ def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bou
             row += np.sum((m * tau + n) ** (-power))
         total += pair * row
     return complex(total)
-
-
-def _half_shell(s: int):
-    """One (m, n) representative of each (+-) pair on shell s, as numpy arrays."""
-    # m = s edge (full), m in (0, s) sides, and the (m=0, n=s) corner ray
-    m = np.concatenate([np.full(2 * s + 1, s), np.arange(1, s), np.arange(1, s), [0]])
-    n = np.concatenate([np.arange(-s, s + 1), np.full(s - 1, s), np.full(s - 1, -s), [s]])
-    return m.astype(np.float64), n.astype(np.float64)
-
-
-def _z2plus_shell(s: int):
-    """The Z^2_+ part of shell s, as (n, m) numpy arrays."""
-    n = np.concatenate([np.arange(-s, s + 1), np.full(s - 1, -s), np.full(s - 1, s), [s]])
-    m = np.concatenate([np.full(2 * s + 1, -s), np.arange(-s + 1, 0), np.arange(-s + 1, 0), [0]])
-    return n.astype(np.float64), m.astype(np.float64)
 
 
 def default_ordering(k: int) -> LatticeOrdering:

@@ -39,7 +39,7 @@ from .qmod import (
     half_lattice_normalization,
     quasi_modular_decompose,
     weight_monomials,
-    z2plus_points,
+    z2plus_power_sums,
 )
 from .scalars import QI, PiScalar
 
@@ -111,15 +111,11 @@ def witten_class_at_partial_sums(model: ChernRootModel, shell_bound: int, tau) -
     alg = model.algebra
     beta = model.beta(dga.PI)
     tau = tau if isinstance(tau, QI) else QI(Fraction(tau.real), Fraction(tau.imag))
-    pts = list(z2plus_points(shell_bound))
     arg = alg.zero(dga.PI)
-    for k in range(1, model.dim // 4 + 1):
+    for k, part in enumerate(z2plus_power_sums(model.dim // 4, shell_bound, tau), 1):
         ph = pontryagin_character_component(model, k, dga.PI)
         if ph.is_zero():
             continue
-        part = QI(0)
-        for n, m in pts:
-            part = part + (QI(n) * tau - QI(m)) ** (-2 * k)
         # (2 pi i)^{-2k} = (-1)^k / (4^k pi^{2k})
         scal = PiScalar.pi_power(-2 * k, part * QI(Fraction((-1) ** k, 4**k)))
         arg = arg + ph * beta ** (2 * k) * dga.coerce(dga.PI, scal)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, OK, main
 from ellgenus.qmod import QSeries, eisenstein_q
 
@@ -77,10 +79,11 @@ def test_decompose_reports_no_decomposition(capsys, tmp_path):
     assert "no-decomposition" in out
 
 
-def test_pfaffian_product_table(capsys):
+@pytest.mark.parametrize("roots", ["1", "2"])
+def test_pfaffian_product_table(capsys, roots):
     status, out = run_cli(
         capsys, "--format", "records", "pfaffian-product",
-        "--roots", "1", "--dim", "4", "--shells", "8",
+        "--roots", roots, "--dim", "4", "--shells", "8",
     )
     assert status == OK
     records = [json.loads(line) for line in out.strip().splitlines()]
@@ -88,6 +91,9 @@ def test_pfaffian_product_table(capsys):
     assert len(identities) == 3 and all(r["status"] == "OK" for r in identities)
     conv = [r for r in records if r["record"] == "convergence"]
     assert conv[-1]["shell"] == 8
+    for row in conv:  # float() parses a plain repr, never "np.float64(...)"
+        for value in row["beta2_coefficient"] + [row["drift"]]:
+            float(value)
 
 
 def test_anomaly_verdict(capsys):
@@ -133,3 +139,40 @@ def test_byte_identical_reruns(capsys, tmp_path):
     _, p1 = run_cli(capsys, "pfaffian-product", "--roots", "1", "--dim", "4", "--shells", "6")
     _, p2 = run_cli(capsys, "pfaffian-product", "--roots", "1", "--dim", "4", "--shells", "6")
     assert p1 == p2
+
+
+def assert_input_error(capsys, *argv):
+    assert main(list(argv)) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("roots,dim", [("0", "8"), ("1", "0")])
+def test_anomaly_rejects_a_zero_p1(capsys, roots, dim):
+    err = assert_input_error(capsys, "anomaly", "--roots", roots, "--dim", dim)
+    assert "--roots >= 1" in err and "--dim >= 4" in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("genus", "--descriptor"), ("decompose", "--series"), ("localize", "--problem"),
+])
+def test_input_file_must_hold_a_json_object(capsys, tmp_path, command, flag):
+    path = tmp_path / "in.json"
+    path.write_text("[]")
+    assert str(path) in assert_input_error(capsys, command, flag, str(path))
+
+
+def test_descriptor_with_null_dim(capsys, tmp_path):
+    path = write_descriptor(tmp_path, "d.json", None, {})
+    assert path in assert_input_error(capsys, "genus", "--descriptor", path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grid", None), ("grid", 1.5), ("grid", 0), ("grid", 4097), ("alpha0", None),
+])
+def test_localize_rejects_a_bad_problem_field(capsys, tmp_path, field, value):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 8, field: value}))
+    assert field in assert_input_error(capsys, "localize", "--problem", str(path))

@@ -19,7 +19,7 @@ from ellgenus.pfaff import (
     product_exponential_form,
     regularized_product,
 )
-from ellgenus.qmod import z2plus_points
+from ellgenus.qmod import z2plus_points, z2plus_shell
 from ellgenus.scalars import QI, bernoulli
 
 
@@ -256,8 +256,9 @@ def test_product_order_independence_same_index_set():
     assert forward == backward
 
 
-def test_fast_path_matches_generic_blocks():
-    m = ChernRootModel(1, 8)
+@pytest.mark.parametrize("r", [1, 2])
+def test_fast_path_matches_generic_blocks(r):
+    m = ChernRootModel(r, 8)
     tau = 0.5 + 1.5j
     fast = regularized_product(m, 4, tau, dga.COMPLEX, verify_routes=False)
     acc = m.algebra.one(dga.COMPLEX)
@@ -283,9 +284,7 @@ def test_ordering_sensitivity_of_the_conditional_coefficient():
         return complex(np.sum(-1.0 / z**2)), complex(np.sum(-0.5 / z**4))
 
     # square family (verified exactly against the block product elsewhere)
-    from ellgenus.qmod import z2plus_arrays
-
-    ns, ms = z2plus_arrays(60)
+    ns, ms = map(np.concatenate, zip(*(z2plus_shell(s) for s in range(1, 61))))
     sq1, sq2 = log_coeffs(ns, ms)
     value = regularized_product(m, 60, tau, dga.COMPLEX, verify_routes=False)
     assert abs(value.terms[key1] - sq1) < 1e-10
@@ -324,8 +323,9 @@ def test_a_hat_degree4_coefficient():
     assert abs(ah.terms[((ix, 2),)] - (-1 / 24)) < 1e-3
 
 
-def test_a_hat_fast_path_matches_generic():
-    m = ChernRootModel(1, 8)
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_hat_fast_path_matches_generic(r):
+    m = ChernRootModel(r, 8)
     fast = a_hat_product(m, 200)
     acc = m.algebra.one(dga.COMPLEX)
     for n in range(1, 201):

@@ -10,6 +10,7 @@ from ellgenus.qmod import (
     GAMMA_T,
     ROWMAJOR,
     SHELLS,
+    Z2PLUS,
     GammaElement,
     LatticeOrdering,
     NoDecomposition,
@@ -22,6 +23,7 @@ from ellgenus.qmod import (
     transform_residual,
     weight_monomials,
     z2plus_points,
+    z2plus_shell,
 )
 from ellgenus.scalars import zeta_even_over_pi_power
 
@@ -158,6 +160,17 @@ def test_z2plus_enumeration_is_the_half_lattice():
     )
     assert sorted(pts) == brute
     assert len(pts) == 24
+    shells = [z2plus_shell(s) for s in range(1, 4)]
+    assert [len(n) for n, _ in shells] == [len(m) for _, m in shells] == [4, 8, 12]
+    assert pts == [p for n, m in shells for p in zip(n.tolist(), m.tolist())]
+    assert all(type(v) is int for p in pts for v in p)
+
+
+@pytest.mark.parametrize("power", [2, 4, 6])
+def test_shells_sum_is_the_doubled_z2plus_sum(power):
+    tau = 0.25 + 1.5j
+    assert lattice_partial_sum(power, tau, SHELLS, 40) == 2 * lattice_partial_sum(power, tau, Z2PLUS, 40)
+    assert lattice_partial_sum(power + 1, tau, SHELLS, 40) == 0
 
 
 # ---------------------------------------------------------------------------
