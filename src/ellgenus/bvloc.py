@@ -134,19 +134,28 @@ def bv_localize(problem: EquivariantSurfaceProblem, t: float | None = None,
     Returns {"lhs", "rhs", "residual"}.  With t given, alpha is replaced by
     exp(t alpha) = e^{t alpha0} (1 + t g dz dphi), the Duistermaat-Heckman
     family; exactness of stationary phase means the residual stays at
-    quadrature accuracy for every t.
+    quadrature accuracy for every t.  A side that overflows or is not finite
+    raises ValueError naming t: such a residual says nothing about the identity.
     """
-    res = q_closedness_residual(problem)
-    if res > closedness_tol:
-        raise ValueError(f"input not Q-closed: residual {res:.3e}")
-    e = fixed_point_weights(problem.s)
-    if t is None:
-        lhs = _quadrature(problem, lambda z: problem.g(z))
-        rhs = sum(problem.alpha0(p) / e[p] for p in (1, -1))
-    else:
-        lhs = _quadrature(problem, lambda z: t * np.exp(t * problem.alpha0(z)) * problem.g(z))
-        rhs = sum(math.exp(t * problem.alpha0(p)) / e[p] for p in (1, -1))
-    return {"lhs": lhs, "rhs": float(rhs), "residual": abs(lhs - float(rhs))}
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        res = q_closedness_residual(problem)
+        if not res <= closedness_tol:
+            raise ValueError(f"input not Q-closed: residual {res:.3e}")
+        e = fixed_point_weights(problem.s)
+        if t is None:
+            lhs = _quadrature(problem, lambda z: problem.g(z))
+            rhs = float(sum(problem.alpha0(p) / e[p] for p in (1, -1)))
+        else:
+            lhs = _quadrature(problem, lambda z: t * np.exp(t * problem.alpha0(z)) * problem.g(z))
+            try:
+                rhs = sum(math.exp(t * problem.alpha0(p)) / e[p] for p in (1, -1))
+            except OverflowError:
+                rhs = math.inf
+    residual = abs(lhs - rhs)
+    if not math.isfinite(residual):
+        where = "the base form" if t is None else f"t = {t!r}"
+        raise ValueError(f"localization at {where} is not finite: lhs {lhs!r}, rhs {rhs!r}")
+    return {"lhs": lhs, "rhs": rhs, "residual": residual}
 
 
 def calibration_problem(s=1, grid=256) -> EquivariantSurfaceProblem:

@@ -16,6 +16,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import dga
 from .bvloc import EquivariantSurfaceProblem, bv_localize
 from .dga import differential
@@ -301,8 +303,15 @@ def _cmd_pfaffian_product(args, report: Report) -> int:
     key = ((alg.index["b"], 2), (alg.index["x1"], 2))
     bounds = _table_bounds(args.shells)
     prev = None
-    for bound, value in _product_table(model, bounds, tau):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        table = list(_product_table(model, bounds, tau))
+    for bound, value in table:
         coeff = value.terms.get(key, 0j)
+        if not cmath.isfinite(coeff):
+            raise ValueError(
+                f"--tau {args.tau}: the shell-{bound} coefficient {coeff!r} is not finite "
+                "in double precision"
+            )
         drift = abs(coeff - prev) if prev is not None else float("nan")
         report.record(
             record="convergence", shell=bound, beta2_coefficient=_cpx(coeff),

@@ -11,6 +11,16 @@ which is what the reciprocal regularized Pfaffian product actually produces;
 with it the q^0 specialization of the class is exactly the A-hat class and the
 genus's q^0 term is the A-hat genus.
 
+On a descriptor the class is exp(sum_k s_k b^{2k} E{2k} / k), s_k the power
+sums of the squared roots, and by the exponential formula its top-degree part
+is the finite sum over partitions lambda of dim/4,
+
+    sum_lambda s_lambda b^{dim/2} prod_k E{2k}^{m_k} / (k^{m_k} m_k!),
+
+m_k the multiplicity of k in lambda and s_lambda = prod_k s_k^{m_k} (Milnor-
+Stasheff section 16; Hirzebruch-Berger-Jung ch. 1); pairing s_lambda with the
+Pontryagin numbers gives the symbolic genus without expanding the exponential.
+
 Under gamma in SL2(Z) the transformation laws are beta -> beta/j,
 E2 -> j^2 (E2 - u/2), E{2k >= 4} -> j^{2k} E{2k}, where u stands for
 c/(2 pi i (c tau + d)) and j for (c tau + d); u absorbs all the analytic
@@ -20,6 +30,7 @@ factors so the whole delta Wit = dA verification runs in exact arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from . import dga
@@ -52,22 +63,44 @@ def eisenstein_symbol_series(k: int, q_order: int) -> QSeries:
 def q_evaluate(el: Element, q_order: int) -> Element:
     """Replace the Eisenstein symbols by their q-series; result in qseries mode."""
     alg = el.algebra
-    series = {}
-    out = alg.zero(dga.QSERIES)
+    symbol_k = {i: k for i, g in enumerate(alg.gens) if (k := _symbol_k(g.name))}
+    series = _symbol_monomials(q_order)
+    zero = QSeries.zero()
+    out = {}
     for mono, coeff in el.terms.items():
-        factor = QSeries.constant(_to_fraction(el.mode, coeff))
-        rest = []
-        for i, e in mono:
-            name = alg.gens[i].name
-            if name.startswith("E") and name[1:].isdigit():
-                k = int(name[1:]) // 2
-                if k not in series:
-                    series[k] = eisenstein_symbol_series(k, q_order)
-                factor = factor * series[k] ** e
+        rest = tuple((i, e) for i, e in mono if i not in symbol_k)
+        ks = tuple(sorted(symbol_k[i] for i, e in mono if i in symbol_k for _ in range(e)))
+        s = out.get(rest, zero) + series(ks) * _to_fraction(el.mode, coeff)
+        if s.is_zero():
+            out.pop(rest, None)
+        else:
+            out[rest] = s
+    return alg.element(out, dga.QSERIES)
+
+
+def _symbol_k(name: str) -> int:
+    """k for the symbol E{2k}, 0 for any other generator."""
+    return int(name[1:]) // 2 if name.startswith("E") and name[1:].isdigit() else 0
+
+
+def _symbol_monomials(q_order: int):
+    """The q-series of E-monomials for one evaluation, each expanded once.
+
+    A monomial is a nondecreasing tuple of k, one entry per factor E{2k}; its
+    series is its parent's (the tuple without the last entry) times one E{2k}
+    series.
+    """
+    cache = {(): QSeries.constant(1)}
+
+    def series(ks: tuple) -> QSeries:
+        if ks not in cache:
+            if len(ks) == 1:
+                cache[ks] = eisenstein_symbol_series(ks[0], q_order)
             else:
-                rest.append((i, e))
-        out = out + alg.element({tuple(rest): factor}, dga.QSERIES)
-    return out
+                cache[ks] = series(ks[:-1]) * series(ks[-1:])
+        return cache[ks]
+
+    return series
 
 
 def _to_fraction(mode, coeff) -> Fraction:
@@ -156,19 +189,33 @@ def reciprocal_product_as_class(product: Element) -> Element:
 
 
 def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
-    """Genus as {E-monomial exponents: Fraction}; weight dim/2 per monomial."""
+    """Genus as {E-monomial exponents: Fraction}; weight dim/2 per monomial.
+
+    The sum over partitions of dim/4 from the module docstring: each s_lambda
+    is its largest part's s_k times its tail's product, built once.
+    """
     dim = descriptor.dim
     if dim == 0:
         return {(): Fraction(1)}
     kmax = dim // 4
     alg = pontryagin_algebra(dim)
     table = power_sums_to_pontryagin(kmax)
-    beta = alg.gen("b")
-    arg = alg.zero()
+    s_products = {(): alg.one()}
     for k in range(1, kmax + 1):
-        ph = power_sum_element(alg, k, table) * Fraction(1, k)
-        arg = arg + ph * beta ** (2 * k) * alg.gen(f"E{2 * k}")
-    return integrate_symbolic(descriptor, exp_nilpotent(arg))
+        s_products[(k,)] = power_sum_element(alg, k, table)
+
+    def s_product(part):
+        if part not in s_products:
+            s_products[part] = s_products[part[:1]] * s_product(part[1:])
+        return s_products[part]
+
+    top = alg.zero()
+    for part in _partitions(kmax):
+        mult = Counter(part)
+        e_part = tuple((alg.index[f"E{2 * k}"], m) for k, m in mult.items())
+        denominator = math.prod(k**m * math.factorial(m) for k, m in mult.items())
+        top = top + s_product(part) * alg.element({e_part: Fraction(1, denominator)})
+    return integrate_symbolic(descriptor, top * alg.gen("b", power=dim // 2))
 
 
 def witten_genus(descriptor: ManifoldDescriptor, q_order: int) -> QSeries:
@@ -184,13 +231,11 @@ def witten_genus(descriptor: ManifoldDescriptor, q_order: int) -> QSeries:
     dim = descriptor.dim
     if dim == 0:
         return QSeries.constant(sym.get((), Fraction(0))).truncate(q_order)
+    series = _symbol_monomials(q_order)
     total = QSeries(dim // 2, {}, q_order)
     for ekey, coeff in sym.items():
-        term = QSeries.constant(coeff)
-        for idx, e in enumerate(ekey):
-            if e:
-                term = term * eisenstein_symbol_series(idx + 1, q_order) ** e
-        total = total + term
+        ks = tuple(k for k, e in enumerate(ekey, 1) for _ in range(e))
+        total = total + series(ks) * coeff
     return total.truncate(q_order)
 
 
@@ -206,8 +251,8 @@ def gamma_transform(el: Element) -> Element:
         images["b"] = alg.gen("b", el.mode) * alg.gen("j", el.mode, -1)
     for g in alg.gens:
         name = g.name
-        if name.startswith("E") and name[1:].isdigit():
-            k = int(name[1:]) // 2
+        k = _symbol_k(name)
+        if k:
             jpow = alg.gen("j", el.mode, 2 * k)
             image = jpow * alg.gen(name, el.mode)
             if k == 1:

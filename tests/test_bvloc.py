@@ -99,3 +99,12 @@ def test_problem_file_round_trip():
     prob = EquivariantSurfaceProblem.loads(json.dumps(rec))
     assert prob.grid == 128 and prob.s == 1
     assert bv_localize(prob)["residual"] < 1e-8
+
+
+def test_localize_rejects_non_finite_values():
+    # e^{1000} overflows a float: an error naming t, never a residual
+    with pytest.raises(ValueError, match=r"t = 1000\.0 is not finite"):
+        bv_localize(calibration_problem(grid=64), 1000.0)
+    # infinite coefficients make the closedness residual nan, which must not pass
+    with pytest.raises(ValueError, match="not Q-closed"):
+        bv_localize(EquivariantSurfaceProblem.make("1e308*z**3", "-3e308*z**2", 1, grid=8))

@@ -143,7 +143,8 @@ def test_byte_identical_reruns(capsys, tmp_path):
 
 def assert_input_error(capsys, *argv):
     assert main(list(argv)) == INPUT_ERROR
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # records are buffered: a failed command prints no partial report
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     return err
@@ -176,3 +177,21 @@ def test_localize_rejects_a_bad_problem_field(capsys, tmp_path, field, value):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 8, field: value}))
     assert field in assert_input_error(capsys, "localize", "--problem", str(path))
+
+
+# A numpy overflow warning would print extra stderr lines; "error" turns one into a failure.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", ["1000", "-1000", "nan", "inf"])
+def test_localize_rejects_a_t_that_overflows(capsys, tmp_path, t):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 64}))
+    err = assert_input_error(capsys, "localize", "--problem", str(path), "--t", t)
+    assert f"t = {float(t)!r}" in err and "not finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("roots", ["1", "2"])
+def test_pfaffian_product_rejects_a_non_finite_table(capsys, roots):
+    err = assert_input_error(capsys, "pfaffian-product", "--roots", roots,
+                             "--tau", "0,1e-300", "--shells", "2")
+    assert "--tau 0,1e-300" in err and "not finite" in err

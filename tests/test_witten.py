@@ -1,11 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from ellgenus import dga
 from ellgenus.dga import differential, impose_relation, substitute
-from ellgenus.geom import ChernRootModel, ManifoldDescriptor
+from ellgenus.geom import (
+    ChernRootModel,
+    ManifoldDescriptor,
+    integrate_symbolic,
+    pontryagin_algebra,
+    power_sum_element,
+    power_sums_to_pontryagin,
+)
 from ellgenus.pfaff import a_hat_class, a_hat_product, regularized_product
 from ellgenus.qmod import (
     QSeries,
@@ -15,12 +23,14 @@ from ellgenus.qmod import (
 )
 from ellgenus.scalars import QI
 from ellgenus.witten import (
+    _partitions,
     anomaly_delta,
     anomaly_delta_symbolic,
     anomaly_primitive,
     eisenstein_symbol_series,
     gamma_transform,
     product_descriptor,
+    q_evaluate,
     reciprocal_product_as_class,
     string_modularity_check,
     witten_class,
@@ -219,3 +229,80 @@ def test_genus_multiplicativity():
     assert dp.pontryagin_numbers == {(1, 1): Fraction(-70), (2,): Fraction(-35)}
     g1, g2, gp = witten_genus(d1, 6), witten_genus(d2, 6), witten_genus(dp, 6)
     assert gp == (g1 * g2).truncate(6)
+
+
+# ---------------------------------------------------------------------------
+# The sum over partitions and the memoised E-monomial evaluator against the
+# routes they replace
+
+
+def random_descriptor(rng, dim, string=False):
+    """Random p/q numbers on every partition; a string one zeroes those with p1."""
+    numbers = {}
+    for part in _partitions(dim // 4):
+        value = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 9))
+        numbers[part] = 0 if string and 1 in part else value
+    return ManifoldDescriptor(dim, numbers)
+
+
+def genus_by_expansion(descriptor):
+    """The graded-algebra route: exp(sum_k s_k b^{2k} E{2k} / k), then integrate."""
+    kmax = descriptor.dim // 4
+    alg = pontryagin_algebra(descriptor.dim)
+    table = power_sums_to_pontryagin(kmax)
+    arg = alg.zero()
+    for k in range(1, kmax + 1):
+        s_k = power_sum_element(alg, k, table) * Fraction(1, k)
+        arg = arg + s_k * alg.gen("b") ** (2 * k) * alg.gen(f"E{2 * k}")
+    return integrate_symbolic(descriptor, dga.exp_nilpotent(arg))
+
+
+@pytest.mark.parametrize("string", [False, True])
+@pytest.mark.parametrize("dim", [4, 8, 12, 16, 20, 24])
+def test_genus_sum_over_partitions_matches_the_expansion(dim, string):
+    rng = random.Random(f"genus-oracle:{dim}:{string}")
+    for _ in range(2):
+        d = random_descriptor(rng, dim, string)
+        assert witten_genus_symbolic(d) == genus_by_expansion(d)
+
+
+def q_evaluate_term_by_term(el, q_order):
+    """Each term's coefficient times its own product of E{2k} series, summed."""
+    alg = el.algebra
+    out = alg.zero(dga.QSERIES)
+    for mono, coeff in el.terms.items():
+        factor = QSeries.constant(coeff)
+        rest = []
+        for i, e in mono:
+            name = alg.gens[i].name
+            if name.startswith("E"):
+                factor = factor * eisenstein_symbol_series(int(name[1:]) // 2, q_order) ** e
+            else:
+                rest.append((i, e))
+        out = out + alg.element({tuple(rest): factor}, dga.QSERIES)
+    return out
+
+
+@pytest.mark.parametrize("r,dim", [(2, 8), (3, 12)])
+def test_q_evaluate_matches_term_by_term(r, dim):
+    m = ChernRootModel(r, dim)
+    for el in (witten_class_symbolic(m), anomaly_delta_symbolic(m)):
+        assert q_evaluate(el, 6) == q_evaluate_term_by_term(el, 6)
+
+
+def test_genus_multiplicativity_dim24():
+    rng = random.Random("genus-product")
+    d1, d2 = random_descriptor(rng, 12), random_descriptor(rng, 12)
+    dp = product_descriptor(d1, d2)
+    assert dp.dim == 24
+    g1, g2, gp = witten_genus(d1, 8), witten_genus(d2, 8), witten_genus(dp, 8)
+    assert gp == (g1 * g2).truncate(8)
+
+
+@pytest.mark.parametrize("string,verdict", [(True, "modular"), (False, "quasi-modular")])
+def test_modularity_verdict_dim48(string, verdict):
+    d = random_descriptor(random.Random(f"dim48:{string}"), 48, string)
+    rep = string_modularity_check(d, 4)
+    assert rep["verdict"] == verdict
+    assert rep["weight"] == 24 and rep["genus"].weight == 24
+    assert (rep["e2_coefficient"] == {}) == string
