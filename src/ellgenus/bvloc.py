@@ -131,7 +131,9 @@ def bv_localize(problem: EquivariantSurfaceProblem, t: float | None = None,
                 closedness_tol: float = 1e-9) -> dict:
     """Compare the quadrature of alpha (or exp(t alpha)) with the fixed-point sum.
 
-    Returns {"lhs", "rhs", "residual"}.  With t given, alpha is replaced by
+    Returns {"lhs", "rhs", "residual"}, the residual normalized as
+    |lhs - rhs| / max(1, |lhs|, |rhs|) so that round-off on a large value does
+    not read as a violated identity.  With t given, alpha is replaced by
     exp(t alpha) = e^{t alpha0} (1 + t g dz dphi), the Duistermaat-Heckman
     family; exactness of stationary phase means the residual stays at
     quadrature accuracy for every t.  A side that overflows or is not finite
@@ -151,7 +153,7 @@ def bv_localize(problem: EquivariantSurfaceProblem, t: float | None = None,
                 rhs = sum(math.exp(t * problem.alpha0(p)) / e[p] for p in (1, -1))
             except OverflowError:
                 rhs = math.inf
-    residual = abs(lhs - rhs)
+    residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     if not math.isfinite(residual):
         where = "the base form" if t is None else f"t = {t!r}"
         raise ValueError(f"localization at {where} is not finite: lhs {lhs!r}, rhs {rhs!r}")

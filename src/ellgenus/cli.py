@@ -81,9 +81,21 @@ def _cpx(value: complex) -> list:
 def _parse_tau(text: str) -> complex:
     re, _, im = text.partition(",")
     tau = complex(float(re), float(im))
+    if not cmath.isfinite(tau):
+        raise ValueError(f"--tau {text}: both parts must be finite")
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
     return tau
+
+
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tolerance must be finite and > 0, got {tol!r}")
+
+
+def _check_q_order(q_order: int) -> None:
+    if q_order < 1:
+        raise ValueError("need --q-order >= 1")
 
 
 def _tau_exact(text: str) -> QI:
@@ -191,6 +203,7 @@ def _cmd_eisenstein(args, report: Report) -> int:
     tau = _parse_tau(args.tau)
     ordering = LatticeOrdering(args.ordering) if args.ordering else default_ordering(args.k)
     tol = args.tolerance if args.tolerance is not None else (1e-4 if args.k == 1 else 1e-6)
+    _check_tolerance(tol)
     _config_record(
         report, args, k=args.k, q_order=args.q_order, tau=_cpx(tau), bound=args.bound,
         ordering=ordering.variant, tolerance=tol,
@@ -198,7 +211,21 @@ def _cmd_eisenstein(args, report: Report) -> int:
     series = eisenstein_q(args.k, args.q_order)
     rec = series.to_record()
     report.record(record="qseries", rendered=series.render(), **rec)
-    lattice = eisenstein_lattice(args.k, tau, ordering, args.bound)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        try:
+            lattice = eisenstein_lattice(args.k, tau, ordering, args.bound)
+            residuals = [
+                (name, abs(transform_residual(args.k, gamma, tau, args.bound, ordering)))
+                for name, gamma in (("T", GAMMA_T), ("S", GAMMA_S))
+            ]
+            finite = cmath.isfinite(lattice) and all(math.isfinite(res) for _, res in residuals)
+        except OverflowError:
+            finite = False
+    if not finite:
+        raise ValueError(
+            f"--tau {args.tau}: the lattice value or a transform residual is not finite "
+            "in double precision"
+        )
     report.record(record="lattice", value=_cpx(lattice))
     # consistency: lattice / (2 zeta(2k)) vs the series at q = e^{2 pi i tau};
     # evaluated at a fixed deep order so series truncation cannot mask drift
@@ -207,8 +234,7 @@ def _cmd_eisenstein(args, report: Report) -> int:
     drift = abs(lattice / two_zeta - eisenstein_q(args.k, 30).evaluate(qval))
     report.record(record="consistency", normalized_drift=repr(drift), tolerance=tol)
     worst = drift
-    for name, gamma in (("T", GAMMA_T), ("S", GAMMA_S)):
-        res = abs(transform_residual(args.k, gamma, tau, args.bound, ordering))
+    for name, res in residuals:
         worst = max(worst, res)
         report.record(record="transform-residual", gamma=name, value=repr(res))
     verdict = "OK" if worst < tol else "FAIL"
@@ -230,6 +256,7 @@ def _cmd_witten_class(args, report: Report) -> int:
 
 
 def _cmd_genus(args, report: Report) -> int:
+    _check_q_order(args.q_order)
     descriptor = _read_record(args.descriptor, ManifoldDescriptor.from_record)
     _config_record(
         report, args, descriptor=args.descriptor, dim=descriptor.dim,
@@ -283,6 +310,8 @@ def _cmd_decompose(args, report: Report) -> int:
 def _cmd_pfaffian_product(args, report: Report) -> int:
     if args.dim % 4 or args.dim < 4:
         raise ValueError("--dim must be a positive multiple of 4")
+    if args.roots < 1:
+        raise ValueError("need --roots >= 1")
     tau = _parse_tau(args.tau)
     _config_record(
         report, args, roots=args.roots, dim=args.dim, tau=_cpx(tau),
@@ -348,6 +377,7 @@ def _table_bounds(shells: int):
 
 
 def _cmd_anomaly(args, report: Report) -> int:
+    _check_q_order(args.q_order)
     model = ChernRootModel(args.roots, args.dim)
     if model.p1().is_zero():
         raise ValueError("the anomaly divides by p1, which is zero here: need --roots >= 1 and --dim >= 4")
@@ -362,6 +392,7 @@ def _cmd_anomaly(args, report: Report) -> int:
 
 
 def _cmd_localize(args, report: Report) -> int:
+    _check_tolerance(args.tolerance)
     problem = _read_record(args.problem, EquivariantSurfaceProblem.from_record)
     _config_record(
         report, args, problem=args.problem, s=str(problem.s), grid=problem.grid,

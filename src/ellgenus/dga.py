@@ -1,13 +1,20 @@
 """Finitely generated graded-commutative differential algebras with exact coefficients.
 
 Elements are dictionaries from canonical monomials to scalars drawn from one of
-four modes: exact rationals, Gaussian rationals with a formal pi symbol,
-rational q-series, or complex floats.  Monomials are sorted tuples of
-(generator index, exponent) with generators ordered lexicographically by name;
-the Koszul sign of a product is the parity of the transpositions of odd
-generators needed to restore that order.  Monomials whose total form degree
-exceeds the algebra's truncation degree vanish, which is what makes every
-exponential and inverse here a finite computation.
+four modes: exact rationals (``Fraction``), Gaussian rationals with a formal pi
+symbol (``PiScalar``), rational q-series (``QSeries``), or complex floats.
+``MODES`` holds each mode's decisions in one ``ScalarMode`` record: its type,
+the types that inject into it (a float only into complex mode), the scalar
+inverse, and the text form used by ``render`` and ``parse_element``.  Every
+scalar type is falsy exactly when it is zero, so ``not s`` is the zero test in
+every mode.
+
+Monomials are sorted tuples of (generator index, exponent) with generators
+ordered lexicographically by name; the Koszul sign of a product is the parity
+of the transpositions of odd generators needed to restore that order.
+Monomials whose total form degree exceeds the algebra's truncation degree
+vanish, which is what makes every exponential and inverse here a finite
+computation.
 
 Generators marked invertible (the Bott symbol, the automorphy symbol) may carry
 negative exponents; they must have form degree 0, so truncation is unaffected.
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .qmod import QSeries
 from .scalars import PiScalar, QI
@@ -25,8 +33,6 @@ RATIONAL = "rational"
 PI = "pi"
 QSERIES = "qseries"
 COMPLEX = "complex"
-
-MODES = (RATIONAL, PI, QSERIES, COMPLEX)
 
 
 class ScalarModeMismatch(TypeError):
@@ -37,83 +43,53 @@ class NotDivisible(ArithmeticError):
     """Exact division failed: some term lacks the divisor factor."""
 
 
-def coerce(mode, value):
-    """Explicit injection of a value into a scalar mode (no float -> exact)."""
-    if mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into rational mode")
-    if mode == PI:
-        if isinstance(value, PiScalar):
-            return value
-        if isinstance(value, (QI, int, Fraction)):
-            return PiScalar.of(QI.of(value) if not isinstance(value, QI) else value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into pi mode")
-    if mode == QSERIES:
-        if isinstance(value, QSeries):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QSeries.constant(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into qseries mode")
-    if mode == COMPLEX:
-        if isinstance(value, complex):
-            return value
-        if isinstance(value, (int, float, Fraction)):
-            return complex(value)
-        if isinstance(value, (QI, PiScalar)):
-            return value.to_complex()
-        raise TypeError(f"cannot coerce {type(value).__name__} into complex mode")
-    raise ValueError(f"unknown scalar mode {mode!r}")
+@dataclass(frozen=True)
+class ScalarMode:
+    """One scalar mode's decisions: its type, what injects into it, inverse, text form."""
+
+    kind: type
+    injects: tuple
+    make: Callable
+    inverse: Callable
+    compact: Callable
+    parse: Callable
 
 
-def _szero(mode):
-    return coerce(mode, 0)
-
-
-def _s_is_zero(mode, s):
-    if mode == RATIONAL:
-        return s == 0
-    if mode == COMPLEX:
-        return s == 0
-    return s.is_zero()
-
-
-def _s_is_one(mode, s):
-    return s == coerce(mode, 1)
-
-
-def _s_inverse(mode, s):
-    if mode == RATIONAL:
-        return 1 / s
-    if mode == COMPLEX:
-        return 1.0 / s
-    return s.inverse()
-
-
-def scalar_compact(mode, s) -> str:
-    if mode == RATIONAL:
-        return str(s)
-    if mode == PI:
-        return s.compact()
-    if mode == QSERIES:
-        return s.compact()
+def _complex_compact(s) -> str:
     return f"c{{{s.real!r},{s.imag!r}}}"
 
 
-def scalar_parse(mode, text: str):
-    if mode == RATIONAL:
-        return Fraction(text)
-    if mode == PI:
-        return PiScalar.parse(text)
-    if mode == QSERIES:
-        return QSeries.parse_compact(text)
+def _complex_parse(text: str) -> complex:
     body = text.strip()
     if not (body.startswith("c{") and body.endswith("}")):
         raise ValueError(f"bad complex token {text!r}")
     re, im = body[2:-1].split(",")
     return complex(float(re), float(im))
+
+
+# A float injects only into complex mode: exact modes never see round-off.
+MODES = {
+    RATIONAL: ScalarMode(Fraction, (int,), Fraction, lambda s: 1 / s, str, Fraction),
+    PI: ScalarMode(PiScalar, (QI, int, Fraction), PiScalar.of, PiScalar.inverse,
+                   PiScalar.compact, PiScalar.parse),
+    QSERIES: ScalarMode(QSeries, (int, Fraction), QSeries.constant, QSeries.inverse,
+                        QSeries.compact, QSeries.parse_compact),
+    COMPLEX: ScalarMode(complex, (int, float, Fraction, QI, PiScalar), complex,
+                        lambda s: 1.0 / s, _complex_compact, _complex_parse),
+}
+_ZERO = {name: mode.make(0) for name, mode in MODES.items()}
+
+
+def coerce(mode, value):
+    """Explicit injection of a value into a scalar mode (no float -> exact)."""
+    m = MODES.get(mode)
+    if m is None:
+        raise ValueError(f"unknown scalar mode {mode!r}")
+    if isinstance(value, m.kind):
+        return value
+    if isinstance(value, m.injects):
+        return m.make(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} into {mode} mode")
 
 
 @dataclass(frozen=True)
@@ -219,7 +195,7 @@ class Algebra:
                     raise ValueError(f"invalid monomial {mono}")
                 continue  # truncated away
             c = coerce(mode, c)
-            if not _s_is_zero(mode, c):
+            if c:
                 clean[mono] = c
         return Element(self, mode, clean)
 
@@ -231,7 +207,7 @@ class Algebra:
 
     def scalar(self, value, mode=RATIONAL) -> "Element":
         value = coerce(mode, value)
-        if _s_is_zero(mode, value):
+        if not value:
             return self.zero(mode)
         return Element(self, mode, {(): value})
 
@@ -272,10 +248,10 @@ class Element:
         return not self.terms
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(sorted(mono)), _szero(self.mode))
+        return self.terms.get(tuple(sorted(mono)), _ZERO[self.mode])
 
     def unit_part(self):
-        return self.terms.get((), _szero(self.mode))
+        return self.terms.get((), _ZERO[self.mode])
 
     def min_form_degree(self) -> int:
         if not self.terms:
@@ -296,28 +272,23 @@ class Element:
         """Explicit scalar injection; raises when lossy (e.g. pi -> rational)."""
         if mode == self.mode:
             return self
-        out = {}
-        for m, c in self.terms.items():
-            if self.mode == RATIONAL:
-                v = coerce(mode, c)
-            elif self.mode == PI and mode == RATIONAL:
-                v = c.as_fraction()
-            elif self.mode == PI and mode == COMPLEX:
-                v = c.to_complex()
-            else:
-                raise ScalarModeMismatch(f"no injection {self.mode} -> {mode}")
-            out[m] = v
-        return self.algebra.element(out, mode)
+        terms = self.terms
+        if self.mode == PI and mode == RATIONAL:
+            terms = {m: c.as_fraction() for m, c in terms.items()}
+        try:
+            return self.algebra.element(terms, mode)
+        except TypeError as exc:
+            raise ScalarModeMismatch(f"no injection {self.mode} -> {mode}") from exc
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
         other = self._check(other)
         out = dict(self.terms)
-        zero = _szero(self.mode)
+        zero = _ZERO[self.mode]
         for m, c in other.terms.items():
             s = out.get(m, zero) + c
-            if _s_is_zero(self.mode, s):
+            if not s:
                 out.pop(m, None)
             else:
                 out[m] = s
@@ -337,13 +308,13 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             c = coerce(self.mode, other)
-            if _s_is_zero(self.mode, c):
+            if not c:
                 return self.algebra.zero(self.mode)
             return Element(self.algebra, self.mode, {m: v * c for m, v in self.terms.items()})
         other = self._check(other)
         alg = self.algebra
         out = {}
-        zero = _szero(self.mode)
+        zero = _ZERO[self.mode]
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 hit = alg._mono_mul(ma, mb)
@@ -354,7 +325,7 @@ class Element:
                 if sign < 0:
                     v = -v
                 s = out.get(mono, zero) + v
-                if _s_is_zero(self.mode, s):
+                if not s:
                     out.pop(mono, None)
                 else:
                     out[mono] = s
@@ -399,8 +370,9 @@ class Element:
         alg = self.algebra
         keys = sorted(self.terms, key=lambda m: (alg.form_degree(m), m))
         parts = []
+        compact = MODES[self.mode].compact
         for m in keys:
-            c = scalar_compact(self.mode, self.terms[m])
+            c = compact(self.terms[m])
             factors = [
                 alg.gens[i].name + (f"^{e}" if e != 1 else "") for i, e in m
             ]
@@ -419,6 +391,7 @@ def parse_element(algebra: Algebra, mode, text: str) -> Element:
     text = text.strip()
     if text == "0":
         return algebra.zero(mode)
+    parse, zero = MODES[mode].parse, _ZERO[mode]
     terms = {}
     for chunk in text.split(" + "):
         chunk = chunk.strip()
@@ -430,7 +403,7 @@ def parse_element(algebra: Algebra, mode, text: str) -> Element:
             depth -= ch == ")"
             if depth == 0:
                 break
-        coeff = scalar_parse(mode, chunk[1:pos])
+        coeff = parse(chunk[1:pos])
         mono = []
         rest = chunk[pos + 1 :]
         if rest:
@@ -438,7 +411,7 @@ def parse_element(algebra: Algebra, mode, text: str) -> Element:
                 name, _, exp = factor.partition("^")
                 mono.append((algebra.index[name], int(exp) if exp else 1))
         key = tuple(sorted(mono))
-        terms[key] = terms.get(key, _szero(mode)) + coeff
+        terms[key] = terms.get(key, zero) + coeff
     return algebra.element(terms, mode)
 
 
@@ -487,8 +460,7 @@ def exp_nilpotent(a: Element) -> Element:
 
 def log_unital(u: Element) -> Element:
     """log of 1 + nilpotent; mutually inverse with exp_nilpotent."""
-    one = u.unit_part()
-    if not _s_is_one(u.mode, one):
+    if u.unit_part() != coerce(u.mode, 1):
         raise ValueError("log argument must be 1 + nilpotent")
     n = u - u.algebra.one(u.mode)
     if not n.is_zero() and n.min_form_degree() < 1:
@@ -507,9 +479,9 @@ def log_unital(u: Element) -> Element:
 def unit_inverse(a: Element) -> Element:
     """Inverse of c + nilpotent with invertible scalar part c."""
     c = a.unit_part()
-    if _s_is_zero(a.mode, c):
+    if not c:
         raise ZeroDivisionError("no unit part")
-    cinv = _s_inverse(a.mode, c)
+    cinv = MODES[a.mode].inverse(c)
     n = (a - a.algebra.scalar(c, a.mode)) * cinv
     if not n.is_zero() and n.min_form_degree() < 1:
         raise ZeroDivisionError("non-nilpotent remainder: cannot invert")
@@ -531,7 +503,7 @@ def _invert_unit_monomial(a: Element) -> Element:
     ((mono, c),) = a.terms.items()
     if all(a.algebra.gens[i].invertible for i, _ in mono):
         inv_mono = tuple((i, -e) for i, e in mono)
-        return a.algebra.element({inv_mono: _s_inverse(a.mode, c)}, a.mode)
+        return a.algebra.element({inv_mono: MODES[a.mode].inverse(c)}, a.mode)
     return unit_inverse(a)
 
 
@@ -587,7 +559,7 @@ def divide_exact(a: Element, g: Element) -> Element:
     g = a._check(g)
     alg = a.algebra
     lead, lc = _prepare_divisor(g)
-    lc_inv = _s_inverse(a.mode, lc)
+    lc_inv = MODES[a.mode].inverse(lc)
     q = alg.zero(a.mode)
     r = a
     while not r.is_zero():
@@ -606,7 +578,7 @@ def impose_relation(a: Element, rel: Element) -> Element:
     rel = a._check(rel)
     alg = a.algebra
     lead, lc = _prepare_divisor(rel)
-    lc_inv = _s_inverse(a.mode, lc)
+    lc_inv = MODES[a.mode].inverse(lc)
     remainder = alg.zero(a.mode)
     r = a
     while not r.is_zero():
@@ -641,8 +613,7 @@ def substitute(a: Element, images: dict) -> Element:
         factor = alg.scalar(c, a.mode)
         for i, e in mono:
             if i in img:
-                base = img[i]
-                piece = base ** e if e >= 0 else _invert_unit_monomial(base) ** (-e)
+                piece = img[i] ** e
             else:
                 piece = alg.element({((i, e),): 1}, a.mode)
             factor = factor * piece

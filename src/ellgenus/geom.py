@@ -16,7 +16,6 @@ the Pontryagin numbers of a ManifoldDescriptor.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 from . import dga
@@ -89,11 +88,7 @@ class ChernRootModel:
 
 
 def _two_pi(mode):
-    if mode == dga.PI:
-        return dga.coerce(mode, PiScalar.pi_power(1, QI(2)))
-    if mode == dga.COMPLEX:
-        return 2 * math.pi
-    raise ValueError("curvature entries need the pi symbol or floats")
+    return dga.coerce(mode, PiScalar.pi_power(1, QI(2)))
 
 
 def _mat_mul(a, b):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dga
 from .dga import Element, unit_inverse
-from .geom import ChernRootModel
+from .geom import ChernRootModel, _two_pi
 from .qmod import z2plus_points, z2plus_power_sums
 from .scalars import QI, PiScalar, bernoulli, two_pi_i_times
 
@@ -67,16 +67,9 @@ def _check_skew(matrix):
 
 def _is_unit(el: Element) -> bool:
     c = el.unit_part()
-    mode = el.mode
-    if mode == dga.RATIONAL or mode == dga.COMPLEX:
-        ok = c != 0
-    elif mode == dga.PI:
-        ok = c.is_unit()
-    else:
-        ok = not c.is_zero()
-    if not ok:
+    if not (c.is_unit() if el.mode == dga.PI else c):
         return False
-    rest = el - el.algebra.scalar(c, mode)
+    rest = el - el.algebra.scalar(c, el.mode)
     return rest.is_zero() or rest.min_form_degree() >= 1
 
 
@@ -248,19 +241,23 @@ def normalized_block_matrix(idx, model: ChernRootModel, tau, mode):
     return mat
 
 
+def _block_z(idx, tau, mode):
+    """2 pi i (n tau - m) in the requested mode."""
+    n, m = (idx.n, idx.m) if isinstance(idx, BlockIndex) else idx
+    if mode == dga.COMPLEX:
+        return 2j * math.pi * (n * complex(tau) - m)
+    return dga.coerce(mode, two_pi_i_times(QI(n) * _tau_qi(tau) - QI(m)))
+
+
 def _paired_skew_block(idx, model: ChernRootModel, tau, mode):
     """[[0, A], [-A^T, 0]] with A = 2 pi i (n tau - m) Id + beta R."""
-    n, m = (idx.n, idx.m) if isinstance(idx, BlockIndex) else idx
     alg = model.algebra
     size = 2 * model.r
-    if mode == dga.COMPLEX:
-        z = alg.scalar(2j * math.pi * (n * complex(tau) - m), mode)
-    else:
-        z = alg.scalar(dga.coerce(mode, two_pi_i_times(QI(n) * _tau_qi(tau) - QI(m))), mode)
+    z = alg.scalar(_block_z(idx, tau, mode), mode)
     beta = model.beta(mode)
     a = [[alg.zero(mode) for _ in range(size)] for _ in range(size)]
     for jdx, x in enumerate(model.roots(mode)):
-        entry = beta * x * _two_pi_entry(mode)
+        entry = beta * x * _two_pi(mode)
         a[2 * jdx][2 * jdx] = z
         a[2 * jdx + 1][2 * jdx + 1] = z
         a[2 * jdx][2 * jdx + 1] = entry
@@ -271,28 +268,20 @@ def _paired_skew_block(idx, model: ChernRootModel, tau, mode):
     return top + bottom
 
 
-def _two_pi_entry(mode):
-    if mode == dga.COMPLEX:
-        return 2 * math.pi
-    return dga.coerce(mode, PiScalar.pi_power(1, QI(2)))
-
-
 def block_norm_pfaffian(idx, model: ChernRootModel, tau, mode=dga.PI, verify_routes=True):
     """det(Id + beta R / (2 pi i (n tau - m))), checked against the Pfaffian ratio.
 
     With verify_routes the value is computed twice: as a determinant over the
-    algebra and as Pf(paired block) / Pf(paired block with R = 0); exact modes
-    require exact agreement (PfaffianRouteMismatch otherwise).
+    algebra and as Pf(paired block) / Pf(paired block with R = 0), the latter in
+    closed form; exact modes require exact agreement (PfaffianRouteMismatch
+    otherwise).
     """
     if model.r == 0:
         return model.algebra.one(mode)
     det = determinant(normalized_block_matrix(idx, model, tau, mode))
     if verify_routes:
         pf = pfaffian(_paired_skew_block(idx, model, tau, mode))
-        # R = 0 block: same matrix with zero roots -> Pf = (-1)^{d(d-1)/2} z^d
-        zero_block = _paired_skew_block(idx, _zero_root_view(model, mode), tau, mode)
-        pf0 = pfaffian(zero_block)
-        ratio = pf * unit_inverse_scalar(pf0)
+        ratio = pf * _zero_block_pfaffian(idx, model.r, tau, mode) ** -1
         if mode == dga.COMPLEX:
             if not _close_elements(ratio, det):
                 raise PfaffianRouteMismatch(f"block {idx}: ratio != det (numeric)")
@@ -301,33 +290,9 @@ def block_norm_pfaffian(idx, model: ChernRootModel, tau, mode=dga.PI, verify_rou
     return det
 
 
-def _zero_root_view(model, mode):
-    """A stand-in whose roots are zero elements of the same algebra."""
-
-    class _View:
-        algebra = model.algebra
-        r = model.r
-        dim = model.dim
-
-        @staticmethod
-        def roots(mode_inner=mode):
-            return [model.algebra.zero(mode_inner) for _ in range(model.r)]
-
-        @staticmethod
-        def beta(mode_inner=mode):
-            return model.beta(mode_inner)
-
-    return _View()
-
-
-def unit_inverse_scalar(el: Element) -> Element:
-    """Inverse of a single-term scalar-or-invertible-monomial element."""
-    if len(el.terms) != 1:
-        return unit_inverse(el)
-    ((mono, c),) = el.terms.items()
-    if mono == ():
-        return el.algebra.scalar(dga._s_inverse(el.mode, c), el.mode)
-    return el ** -1 if all(el.algebra.gens[i].invertible for i, _ in mono) else unit_inverse(el)
+def _zero_block_pfaffian(idx, r, tau, mode):
+    """(-1)^r z^{2r}, the Pfaffian of the R = 0 paired block [[0, z Id], [-z Id, 0]]."""
+    return (-1) ** r * _block_z(idx, tau, mode) ** (2 * r)
 
 
 def _close_elements(a: Element, b: Element, tol=1e-9) -> bool:

@@ -78,6 +78,9 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __getitem__(self, e: int) -> Fraction:
         if self.order is not None and e >= self.order:
             raise IndexError(f"coefficient q^{e} beyond truncation order {self.order}")

@@ -5,7 +5,8 @@ The tower is
     Fraction --> QI (Gaussian rationals) --> PiScalar (Laurent polynomials in pi over QI)
 
 with explicit injections only; floating point (``complex``) sits apart and is
-reached through ``to_complex`` at comparison boundaries.  PiScalar is the home
+reached through ``complex()`` (``to_complex``) at comparison boundaries.  Each
+scalar is falsy exactly when it is zero.  PiScalar is the home
 of exact quantities like 2*pi*i*(n*tau - m) for Gaussian-rational tau, which is
 what keeps the Pfaffian-product identities checkable without floats.
 """
@@ -123,11 +124,16 @@ class QI:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def conjugate(self) -> "QI":
         return QI(self.re, -self.im)
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
+
+    __complex__ = to_complex
 
     def __repr__(self):
         return f"QI({self.re!s}, {self.im!s})"
@@ -241,6 +247,9 @@ class PiScalar:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def is_unit(self) -> bool:
         """Units of QI[pi, pi^-1] are single nonzero pi-monomials."""
         return len(self.coeffs) == 1
@@ -264,6 +273,8 @@ class PiScalar:
             (v.to_complex() * math.pi**k for k, v in self.coeffs.items()),
             start=0j,
         )
+
+    __complex__ = to_complex
 
     def __repr__(self):
         if not self.coeffs:

@@ -67,10 +67,10 @@ def q_evaluate(el: Element, q_order: int) -> Element:
     series = _symbol_monomials(q_order)
     zero = QSeries.zero()
     out = {}
-    for mono, coeff in el.terms.items():
+    for mono, coeff in el.convert(dga.RATIONAL).terms.items():
         rest = tuple((i, e) for i, e in mono if i not in symbol_k)
         ks = tuple(sorted(symbol_k[i] for i, e in mono if i in symbol_k for _ in range(e)))
-        s = out.get(rest, zero) + series(ks) * _to_fraction(el.mode, coeff)
+        s = out.get(rest, zero) + series(ks) * coeff
         if s.is_zero():
             out.pop(rest, None)
         else:
@@ -101,14 +101,6 @@ def _symbol_monomials(q_order: int):
         return cache[ks]
 
     return series
-
-
-def _to_fraction(mode, coeff) -> Fraction:
-    if mode == dga.RATIONAL:
-        return coeff
-    if mode == dga.PI:
-        return coeff.as_fraction()
-    raise ValueError("q-evaluation needs exact coefficients")
 
 
 # ---------------------------------------------------------------------------

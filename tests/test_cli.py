@@ -124,6 +124,20 @@ def test_localize_flags_identity_failure(capsys, tmp_path):
     assert statuses == [("base", "OK"), ("8.0", "FAIL")]
 
 
+# At grid 64 the sides differ by round-off on a value near -3e9; only a residual
+# normalized by their magnitude can pass the default tolerance.
+def test_localize_residual_is_normalized(capsys, tmp_path):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 64}))
+    status, out = run_cli(capsys, "--format", "records", "localize", "--problem", str(path),
+                          "--t", "20")
+    assert status == OK
+    (rec,) = [json.loads(line) for line in out.splitlines() if '"t": "20.0"' in line]
+    lhs, rhs, residual = (float(rec[k]) for k in ("lhs", "rhs", "residual"))
+    assert abs(lhs) > 1e9 and rec["status"] == "OK"
+    assert residual == abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
 def test_reports_embed_configuration(capsys, tmp_path):
     path = write_descriptor(tmp_path, "d.json", 4, {"1": "24"})
     _, out = run_cli(capsys, "genus", "--descriptor", path, "--q-order", "7")
@@ -195,3 +209,30 @@ def test_pfaffian_product_rejects_a_non_finite_table(capsys, roots):
     err = assert_input_error(capsys, "pfaffian-product", "--roots", roots,
                              "--tau", "0,1e-300", "--shells", "2")
     assert "--tau 0,1e-300" in err and "not finite" in err
+
+
+# Every numpy warning is an error here: a bad flag must fail before any lattice work warns.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,named", [
+    ("genus --descriptor {d} --q-order 0", "--q-order >= 1"),
+    ("genus --descriptor {d} --q-order -2", "--q-order >= 1"),
+    ("anomaly --roots 1 --dim 8 --q-order 0", "--q-order >= 1"),
+    ("anomaly --roots 1 --dim 8 --q-order -3", "--q-order >= 1"),
+    ("localize --problem {p} --tolerance nan", "--tolerance"),
+    ("localize --problem {p} --tolerance -1", "--tolerance"),
+    ("localize --problem {p} --tolerance 0", "--tolerance"),
+    ("eisenstein --k 2 --bound 50 --tolerance nan", "--tolerance"),
+    ("eisenstein --k 2 --bound 50 --tolerance inf", "--tolerance"),
+    ("eisenstein --k 2 --bound 50 --tolerance -1", "--tolerance"),
+    ("eisenstein --k 2 --bound 50 --tau nan,1", "--tau nan,1: both parts must be finite"),
+    ("eisenstein --k 2 --bound 50 --tau inf,1", "--tau inf,1: both parts must be finite"),
+    ("eisenstein --k 2 --bound 50 --tau 0,1e-300", "--tau 0,1e-300"),
+    ("eisenstein --k 1 --bound 50 --tau 0,1e-300", "--tau 0,1e-300"),
+    ("eisenstein --k 1 --bound 50 --tau 0,1e300", "--tau 0,1e300"),
+    ("pfaffian-product --roots 0", "--roots >= 1"),
+])
+def test_bad_numeric_flags_are_input_errors(capsys, tmp_path, argv, named):
+    d = write_descriptor(tmp_path, "d.json", 8, {"1,1": "4", "2": "7"})
+    p = tmp_path / "prob.json"
+    p.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 64}))
+    assert named in assert_input_error(capsys, *argv.format(d=d, p=p).split())

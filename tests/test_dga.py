@@ -278,3 +278,85 @@ def test_render_parse_round_trip_modes():
     alg2 = p_algebra()
     rendered = (alg2.one() + alg2.gen("p1") * alg2.gen("u") * Fraction(1, 2)).render()
     assert rendered == "(1) + (1/2)·p1·u"
+
+
+ALL_MODES = list(dga.MODES)
+
+
+def sample_element(alg, mode):
+    """1 + c·x1 + H·b^-2 with a coefficient c that only this mode can hold."""
+    c = {
+        dga.RATIONAL: Fraction(-3, 7),
+        dga.PI: PiScalar.pi_power(-2, QI(Fraction(1, 3), -2)),
+        dga.QSERIES: eisenstein_q(1, 4) * Fraction(2, 5),
+        dga.COMPLEX: complex(0.1, -2.5e-17),
+    }[mode]
+    return alg.one(mode) + alg.gen("x1", mode) * c + alg.gen("H", mode) * alg.gen("b", mode, -2)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_render_parse_round_trip_every_mode(mode):
+    alg = make_algebra()
+    el = sample_element(alg, mode)
+    assert parse_element(alg, mode, el.render()) == el
+
+
+QI_VALUE = QI(Fraction(1, 2), -3)
+PI_VALUE = PiScalar.pi_power(1, QI(2))
+SERIES_VALUE = eisenstein_q(2, 3)
+
+# (mode, value, the injected value or the exception coerce raises)
+COERCE_TABLE = [
+    (dga.RATIONAL, 3, Fraction(3)),
+    (dga.RATIONAL, Fraction(1, 3), Fraction(1, 3)),
+    (dga.RATIONAL, 0.5, TypeError),
+    (dga.RATIONAL, QI_VALUE, TypeError),
+    (dga.RATIONAL, SERIES_VALUE, TypeError),
+    (dga.PI, Fraction(1, 3), PiScalar.of(Fraction(1, 3))),
+    (dga.PI, QI_VALUE, PiScalar.of(QI_VALUE)),
+    (dga.PI, PI_VALUE, PI_VALUE),
+    (dga.PI, 0.5, TypeError),
+    (dga.PI, 1j, TypeError),
+    (dga.QSERIES, 2, QSeries.constant(2)),
+    (dga.QSERIES, SERIES_VALUE, SERIES_VALUE),
+    (dga.QSERIES, 0.5, TypeError),
+    (dga.QSERIES, QI_VALUE, TypeError),
+    (dga.COMPLEX, 0.5, 0.5 + 0j),
+    (dga.COMPLEX, Fraction(1, 4), 0.25 + 0j),
+    (dga.COMPLEX, QI_VALUE, QI_VALUE.to_complex()),
+    (dga.COMPLEX, PI_VALUE, PI_VALUE.to_complex()),
+    (dga.COMPLEX, SERIES_VALUE, TypeError),
+] + [(mode, "1", TypeError) for mode in ALL_MODES]
+
+
+@pytest.mark.parametrize("mode,value,expected", COERCE_TABLE)
+def test_coerce_table(mode, value, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            coerce(mode, value)
+        return
+    got = coerce(mode, value)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_unknown_mode_is_a_value_error():
+    with pytest.raises(ValueError):
+        coerce("float", 1)
+    with pytest.raises(ValueError):
+        make_algebra().zero("float")
+
+
+@pytest.mark.parametrize("zero,nonzero", [
+    (QI(0), QI(0, 1)),
+    (PiScalar(), PiScalar.pi_power(-1, QI(Fraction(1, 2)))),
+    (QSeries(4, {}, 5), QSeries(4, {3: 1}, 5)),
+])
+def test_exact_scalars_are_falsy_exactly_at_zero(zero, nonzero):
+    assert not zero and zero.is_zero()
+    assert nonzero and not nonzero.is_zero()
+
+
+def test_pi_to_complex_convert_is_per_coefficient_to_complex():
+    alg = make_algebra()
+    el = sample_element(alg, dga.PI) + alg.gen("x2", dga.PI) * QI(Fraction(-1, 3), Fraction(5, 7))
+    assert el.convert(dga.COMPLEX).terms == {m: c.to_complex() for m, c in el.terms.items()}

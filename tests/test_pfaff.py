@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from ellgenus.dga import Algebra, Generator, unit_inverse
 from ellgenus.geom import ChernRootModel
 from ellgenus.pfaff import (
     BlockIndex,
+    _paired_skew_block,
+    _zero_block_pfaffian,
     a_hat_class,
     a_hat_mode_matrix,
     a_hat_product,
@@ -212,6 +215,27 @@ def test_block_value_and_dual_route():
     v = block_norm_pfaffian(BlockIndex(1, 0), m, QI(0, 2), dga.PI)
     b, x = m.beta(dga.PI), m.roots(dga.PI)[0]
     assert v == m.algebra.one(dga.PI) + b * b * x * x * dga.coerce(dga.PI, QI(Fraction(1, 4)))
+
+
+# Oracle: the generic Pfaffian of the paired block built with zero roots.
+@pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
+@pytest.mark.parametrize("idx", [(1, 0), (0, -1), (2, -1), (-3, -2)])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_zero_block_pfaffian_closed_form(r, idx, mode):
+    model = ChernRootModel(r, 4)
+    alg = model.algebra
+    zero_roots = SimpleNamespace(algebra=alg, r=r, beta=model.beta,
+                                 roots=lambda m: [alg.zero(m)] * r)
+    tau = QI(Fraction(1, 4), Fraction(3, 2))
+    if mode == dga.COMPLEX:
+        tau = tau.to_complex()
+    generic = pfaffian(_paired_skew_block(idx, zero_roots, tau, mode))
+    closed = _zero_block_pfaffian(idx, r, tau, mode)
+    if mode == dga.PI:
+        assert generic == alg.scalar(closed, mode)
+    else:
+        assert set(generic.terms) == {()}
+        assert generic.terms[()] == pytest.approx(closed, rel=1e-12)
 
 
 def test_block_trace_log_expansion_oracle():
