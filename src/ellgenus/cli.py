@@ -123,7 +123,10 @@ def _config_record(report: Report, args, **extra):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed --help, or its usage and the error
+        return OK if exc.code == 0 else INPUT_ERROR
     report = Report(args.format)
     try:
         status = args.handler(args, report)
@@ -198,19 +201,12 @@ def _build_parser():
 
 
 def _cmd_eisenstein(args, report: Report) -> int:
-    if args.k < 1 or args.q_order < 1:
-        raise ValueError("need --k >= 1 and --q-order >= 1")
+    if args.k < 1 or args.q_order < 1 or args.bound < 1:
+        raise ValueError("need --k >= 1, --q-order >= 1 and --bound >= 1")
     tau = _parse_tau(args.tau)
     ordering = LatticeOrdering(args.ordering) if args.ordering else default_ordering(args.k)
-    tol = args.tolerance if args.tolerance is not None else (1e-4 if args.k == 1 else 1e-6)
+    tol = args.tolerance if args.tolerance is not None else 1e-6
     _check_tolerance(tol)
-    _config_record(
-        report, args, k=args.k, q_order=args.q_order, tau=_cpx(tau), bound=args.bound,
-        ordering=ordering.variant, tolerance=tol,
-    )
-    series = eisenstein_q(args.k, args.q_order)
-    rec = series.to_record()
-    report.record(record="qseries", rendered=series.render(), **rec)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         try:
             lattice = eisenstein_lattice(args.k, tau, ordering, args.bound)
@@ -221,11 +217,24 @@ def _cmd_eisenstein(args, report: Report) -> int:
             finite = cmath.isfinite(lattice) and all(math.isfinite(res) for _, res in residuals)
         except OverflowError:
             finite = False
+        except ValueError as exc:  # tau or its S image needs more rows than qmod.MAX_ROWS
+            raise ValueError(f"--tau {args.tau}: {exc}") from exc
     if not finite:
         raise ValueError(
             f"--tau {args.tau}: the lattice value or a transform residual is not finite "
             "in double precision"
         )
+    ranges = {}
+    if ordering.variant == "rowmajor":
+        m_range, n_range = ordering.effective_ranges(args.bound, tau)
+        ranges = {"rows": m_range, "columns": n_range, "tail_order": ordering.tail}
+    _config_record(
+        report, args, k=args.k, q_order=args.q_order, tau=_cpx(tau), bound=args.bound,
+        ordering=ordering.variant, **ranges, tolerance=tol,
+    )
+    series = eisenstein_q(args.k, args.q_order)
+    rec = series.to_record()
+    report.record(record="qseries", rendered=series.render(), **rec)
     report.record(record="lattice", value=_cpx(lattice))
     # consistency: lattice / (2 zeta(2k)) vs the series at q = e^{2 pi i tau};
     # evaluated at a fixed deep order so series truncation cannot mask drift

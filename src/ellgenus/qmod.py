@@ -2,17 +2,33 @@
 
 Two independent evaluation pipelines live here.  ``eisenstein_q`` produces the
 normalized series Ẽ_{2k} (constant term 1, rational coefficients) from divisor
-sums; ``eisenstein_lattice`` computes literal partial sums of
+sums; ``eisenstein_lattice`` computes partial sums of
 sum 1/(m*tau + n)^{2k} over Z^2 \\ {0} in a caller-chosen order.  They are tied
 together by E^lat_{2k} = 2 zeta(2k) Ẽ_{2k}, which the tests and the CLI check
-numerically.  For k = 1 the lattice sum is only conditionally convergent; the
-row-major order (for each m, sum the full n-range, then sum over m) realizes
-the holomorphic quasi-modular E2, which is validated against its SL2(Z)
-transformation law rather than assumed.
+numerically.
+
+For k = 1 the lattice sum is only conditionally convergent; the row-major
+order (for each m, sum the whole row over n, then sum over m) realizes the
+holomorphic quasi-modular E2, which is validated against its SL2(Z)
+transformation law rather than assumed.  Each row sum_n (w + n)^{-p}, w = m tau,
+converges absolutely; only the order of m against n is conditional.  So a row
+is a literal sum over |n| <= N plus its two tails in closed form, by
+Euler-Maclaurin (DLMF 2.10.1): with x = N + w (and x = N - w for n < -N),
+
+    sum_{n>N} (n + w)^{-p} = x^{1-p}/(p-1) - x^{-p}/2
+                             + sum_{j=1}^{J} B_{2j}/(2j)! (p)_{2j-1} x^{1-p-2j},
+
+(p)_r the rising factorial.  J = 8 makes any N >= 16 accurate to round-off.  Rows
+are periodic in w, so each row's window is centred on its pole (w is reduced
+to |Re w| <= 1/2).  The rows |m| > M fall off like e^{-2 pi M Im tau}, so M is
+the smallest M >= MIN_ROWS with M Im tau >= ROW_DECAY, i.e. that factor below
+e^{-2 pi 7} ~ 8e-20; a tau needing more than MAX_ROWS rows is rejected before
+anything is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -338,6 +354,11 @@ GAMMA_T = GammaElement(1, 1, 0, 1)
 GAMMA_S = GammaElement(0, 1, -1, 0)
 
 
+MIN_ROWS = 8  # row-major M is never below this
+ROW_DECAY = 7.0  # M * Im tau >= ROW_DECAY puts the dropped rows below e^{-2 pi 7} ~ 8e-20
+MAX_ROWS = 4096  # cap on row-major M, reached at Im tau ~ 1.7e-3
+
+
 @dataclass(frozen=True)
 class LatticeOrdering:
     """Enumeration strategy for sums over Z^2 \\ {0}.
@@ -347,26 +368,45 @@ class LatticeOrdering:
                   summed as the Z^2_+ shell doubled (even powers; odd ones cancel)
       "z2plus"    the half lattice Z^2_+ = {(n, m): m < 0, or m = 0 and n > 0}
                   intersected with max(|m|,|n|) <= shell bound
-      "rowmajor"  for each m in [-M, M], the full n-range [-N, N]; realizes the
-                  holomorphic E2 when N >> M
-    Unset parameters are derived from the call-site bound.
+      "rowmajor"  rows |m| <= M, each a literal sum over |n| <= N (centred on the
+                  row's pole) plus its Euler-Maclaurin tails with ``tail``
+                  Bernoulli terms; realizes the holomorphic E2.  N is the bound,
+                  M is the least M >= MIN_ROWS with M Im tau >= ROW_DECAY (at
+                  most MAX_ROWS).  tail = 0 leaves the literal partial sum.
+    Unset ranges are derived from the call-site bound and tau.
     """
 
     variant: str
     m_range: int | None = None
     n_range: int | None = None
+    tail: int = 8
 
     def __post_init__(self):
         if self.variant not in ("shells", "z2plus", "rowmajor"):
             raise ValueError(f"unknown ordering {self.variant!r}")
+        if self.tail < 0:
+            raise ValueError("tail order must be >= 0")
 
-    def effective_ranges(self, bound: int) -> tuple[int, int]:
-        if self.variant == "rowmajor":
-            m = self.m_range if self.m_range is not None else max(8, round(bound**0.25))
-            n = self.n_range if self.n_range is not None else 800 * bound
-            return m, n
-        b = self.m_range if self.m_range is not None else bound
-        return b, b
+    def effective_ranges(self, bound: int, tau: complex | None = None) -> tuple[int, int]:
+        """(M, N) for rowmajor, (shell bound, shell bound) otherwise.
+
+        Without tau the rowmajor M is MIN_ROWS; a tau that needs more than
+        MAX_ROWS rows is a ValueError.
+        """
+        if self.variant != "rowmajor":
+            b = self.m_range if self.m_range is not None else bound
+            return b, b
+        n = self.n_range if self.n_range is not None else bound
+        if self.m_range is not None:
+            return self.m_range, n
+        if tau is None:
+            return MIN_ROWS, n
+        if not tau.imag * MAX_ROWS >= ROW_DECAY:  # written so that a nan Im is rejected too
+            raise ValueError(
+                f"Im tau = {tau.imag:.3g} needs more than {MAX_ROWS} row-major rows "
+                f"(need Im tau >= {ROW_DECAY / MAX_ROWS:.3g})"
+            )
+        return max(MIN_ROWS, math.ceil(ROW_DECAY / tau.imag)), n
 
 
 SHELLS = LatticeOrdering("shells")
@@ -418,6 +458,37 @@ def z2plus_power_sums(k_max: int, bound: int, tau) -> list:
     return sums
 
 
+_BLOCK = 1 << 20  # lattice points per numpy block
+
+
+@functools.cache
+def _tail_terms(power: int, order: int) -> tuple:
+    """(B_2j/(2j)! (power)_{2j-1}, 1 - power - 2j) for j = 1..order."""
+    return tuple(
+        (float(bernoulli(2 * j) * math.prod(range(power, power + 2 * j - 1)) / math.factorial(2 * j)),
+         1 - power - 2 * j)
+        for j in range(1, order + 1)
+    )
+
+
+def _row_tail(x, power: int, order: int):
+    """sum_{n>N} (n + w)^-power at x = N + w: Euler-Maclaurin with `order` Bernoulli terms."""
+    tail = x ** (1 - power) / (power - 1) - x ** (-power) / 2
+    for c, e in _tail_terms(power, order):
+        tail += c * x**e
+    return tail
+
+
+def _row_sums(w, power: int, lo: int, hi: int):
+    """sum_{n=lo..hi} (w + n)^-power for each entry of w, in blocks of about _BLOCK points."""
+    sums = np.zeros(len(w), dtype=complex)
+    step = max(1, _BLOCK // max(1, len(w)))
+    for a in range(lo, hi + 1, step):
+        n = np.arange(a, min(a + step, hi + 1), dtype=np.float64)
+        sums += np.sum((w[:, None] + n) ** (-power), axis=1)
+    return sums
+
+
 def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bound: int) -> complex:
     """Partial sum of 1/(m*tau + n)^power in the given order.
 
@@ -429,31 +500,27 @@ def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bou
     if bound < 1:
         raise ValueError("bound must be >= 1")
     pair = 1 + (-1) ** power
+    if ordering.variant == "z2plus":
+        pair = 1
+    elif pair == 0:
+        return 0j  # (n, m) <-> (-n, -m) antisymmetry, exactly
     if ordering.variant != "rowmajor":
         # a square shell is its Z^2_+ part and that part's mirror image
-        if ordering.variant == "z2plus":
-            pair = 1
-        elif pair == 0:
-            return 0j  # (n, m) <-> (-n, -m) antisymmetry, exactly
         total = 0.0 + 0.0j
         for s in range(1, ordering.effective_ranges(bound)[0] + 1):
             n, m = z2plus_shell(s)
             total += pair * np.sum((m * tau + n) ** (-power))
         return complex(total)
-    # row-major: m = 0 row, then paired rows +-m
-    m_range, n_range = ordering.effective_ranges(bound)
-    total = 0.0 + 0.0j
-    chunk = 1 << 20
-    for lo in range(1, n_range + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, n_range + 1), dtype=np.float64)
-        total += pair * np.sum(n ** (-float(power)))
-    for m in range(1, m_range + 1):
-        row = 0.0 + 0.0j
-        for lo in range(-n_range, n_range + 1, chunk):
-            n = np.arange(lo, min(lo + chunk, n_range + 1), dtype=np.float64)
-            row += np.sum((m * tau + n) ** (-power))
-        total += pair * row
-    return complex(total)
+    # row-major: the m = 0 row (n > 0, paired), then rows +-m paired, each row whole
+    m_range, n_range = ordering.effective_ranges(bound, tau)
+    w = np.arange(1, m_range + 1) * tau
+    w -= np.rint(w.real)  # a row is periodic in w: centre its window on the pole
+    zero_row = _row_sums(np.zeros(1), power, 1, n_range)[0]
+    rows = _row_sums(w, power, -n_range, n_range)
+    if ordering.tail:  # p is even here: the n < -N tail is the n > N tail at -w
+        zero_row += _row_tail(float(n_range), power, ordering.tail)
+        rows += _row_tail(n_range + w, power, ordering.tail) + _row_tail(n_range - w, power, ordering.tail)
+    return complex(pair * (zero_row + np.sum(rows)))
 
 
 def default_ordering(k: int) -> LatticeOrdering:

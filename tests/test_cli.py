@@ -32,6 +32,19 @@ def test_eisenstein_k1_rowmajor(capsys):
     assert "ordering=rowmajor" in out
 
 
+def test_eisenstein_k1_default_passes_to_round_off(capsys):
+    status, out = run_cli(capsys, "--format", "records", "eisenstein", "--k", "1")
+    assert status == OK
+    records = [json.loads(line) for line in out.splitlines()]
+    config = records[0]
+    assert config["tolerance"] == 1e-6 and config["tau"] == ["0.0", "2.0"]
+    assert (config["rows"], config["columns"], config["tail_order"]) == (8, 2000, 8)
+    values = [float(r["normalized_drift"]) for r in records if r["record"] == "consistency"]
+    values += [float(r["value"]) for r in records if r["record"] == "transform-residual"]
+    assert len(values) == 3 and max(values) <= 1e-13
+    assert records[-1] == {"record": "verdict", "status": "OK"}
+
+
 def test_eisenstein_rejects_bad_flags(capsys):
     assert main(["eisenstein", "--k", "0"]) == INPUT_ERROR
     assert main(["eisenstein", "--k", "2", "--tau", "0,-1"]) == INPUT_ERROR
@@ -162,6 +175,26 @@ def assert_input_error(capsys, *argv):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     return err
+
+
+# argparse reports a usage error in several lines (usage text, then the error),
+# so these are checked here rather than by the one-line rule of assert_input_error.
+@pytest.mark.parametrize("argv,flag", [
+    ("eisenstein --k abc", "--k"),
+    ("eisenstein --k 2 --tau -0.3,1.2", "--tau"),  # "-0.3,1.2" reads as an option
+])
+def test_usage_errors_are_input_errors(capsys, argv, flag):
+    assert main(argv.split()) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("usage: ellgenus eisenstein")
+    assert f"error: argument {flag}" in err.splitlines()[-1]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == OK
+    assert capsys.readouterr().out.startswith("usage: ellgenus")
 
 
 @pytest.mark.parametrize("roots,dim", [("0", "8"), ("1", "0")])

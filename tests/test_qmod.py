@@ -5,9 +5,13 @@ from random import Random
 
 import pytest
 
+from ellgenus import qmod
 from ellgenus.qmod import (
     GAMMA_S,
     GAMMA_T,
+    MAX_ROWS,
+    MIN_ROWS,
+    ROW_DECAY,
     ROWMAJOR,
     SHELLS,
     Z2PLUS,
@@ -150,6 +154,77 @@ def test_rowmajor_e2_at_i_is_pi():
     assert abs(v - math.pi) < 1e-4
 
 
+def test_rowmajor_e2_at_i_is_pi_to_round_off():
+    assert abs(eisenstein_lattice(1, 1j, ROWMAJOR, 2000) - math.pi) < 1e-14
+
+
+def cosecant_row(power, z):
+    """sum over n in Z of (z + n)^-power in closed form (DLMF 4.22.5 and its z-derivative)."""
+    csc2 = 1 / cmath.sin(math.pi * z) ** 2
+    return {2: math.pi**2 * csc2, 4: math.pi**4 * (csc2**2 - 2 * csc2 / 3)}[power]
+
+
+ZETA = {2: math.pi**2 / 6, 4: math.pi**4 / 90}
+
+
+# One row m = 1 at tau = z: the sum is 2 (zeta(p) + row(z)).  The z with large
+# Re z would put the pole in the tail without the centred window.
+@pytest.mark.parametrize("power", [2, 4])
+@pytest.mark.parametrize("z", [1j, 2.5j, 0.3 + 0.4j, -0.7 + 0.05j, 1 / 3 + 2j, 7.3 + 0.2j, -40.5 + 0.3j])
+@pytest.mark.parametrize("bound", [16, 200])
+def test_tailed_row_is_the_cosecant_closed_form(power, z, bound):
+    row = lattice_partial_sum(power, z, LatticeOrdering("rowmajor", m_range=1), bound) / 2 - ZETA[power]
+    expected = cosecant_row(power, z)
+    assert abs(row - expected) < 1e-13 * max(1.0, abs(expected))
+
+
+# tail = 0 is the literal partial sum (brute-force double loop as oracle); the
+# tailed sum is the closed form of every row; their difference is the analytic tail.
+@pytest.mark.parametrize("tau", [1j, 0.05 + 0.8j])
+def test_literal_sum_and_the_analytic_tail(tau):
+    rows, bound = 5, 20
+    brute = sum(
+        (m * tau + n) ** -2
+        for m in range(-rows, rows + 1)
+        for n in range(-bound, bound + 1)
+        if (m, n) != (0, 0)
+    )
+    literal = lattice_partial_sum(2, tau, LatticeOrdering("rowmajor", m_range=rows, tail=0), bound)
+    tailed = lattice_partial_sum(2, tau, LatticeOrdering("rowmajor", m_range=rows), bound)
+    closed = 2 * ZETA[2] + 2 * sum(cosecant_row(2, m * tau) for m in range(1, rows + 1))
+    assert abs(literal - brute) < 1e-13
+    assert abs(tailed - closed) < 1e-13
+    assert abs((tailed - literal) - (closed - brute)) < 1e-13
+    # to leading order each row side adds 1/bound: 2 (2 rows + 1) / bound = 1.1
+    assert abs((tailed - literal) - 2 * (2 * rows + 1) / bound) < 0.1
+
+
+def test_row_count_follows_im_tau():
+    assert ROWMAJOR.effective_ranges(300, 1j) == (MIN_ROWS, 300)
+    assert ROWMAJOR.effective_ranges(300, 0.5j) == (14, 300)
+    assert ROWMAJOR.effective_ranges(300) == (MIN_ROWS, 300)
+    assert LatticeOrdering("rowmajor", m_range=3, n_range=7).effective_ranges(300, 0.01j) == (3, 7)
+    assert SHELLS.effective_ranges(300, 1j) == (300, 300)
+    edge = ROW_DECAY / MAX_ROWS
+    assert ROWMAJOR.effective_ranges(300, 1j * edge) == (MAX_ROWS, 300)
+
+
+# The over-cap check comes before any row is summed: a summed row would fail here.
+@pytest.mark.parametrize("im", [1e-300, 5e-324, 0.999 * ROW_DECAY / MAX_ROWS])
+def test_rowmajor_rejects_an_im_tau_over_the_row_cap(monkeypatch, im):
+    def no_rows(*args):
+        raise AssertionError("rows were summed")
+
+    monkeypatch.setattr(qmod, "_row_sums", no_rows)
+    with pytest.raises(ValueError, match=f"more than {MAX_ROWS} row-major rows"):
+        eisenstein_lattice(1, 0.25 + 1j * im, ROWMAJOR, 2000)
+
+
+def test_tail_order_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        LatticeOrdering("rowmajor", tail=-1)
+
+
 def test_z2plus_enumeration_is_the_half_lattice():
     pts = list(z2plus_points(3))
     brute = sorted(
@@ -192,6 +267,23 @@ def test_transform_residual_T_invariance_k2():
 
 def test_transform_residual_k1_S_tau_2i():
     assert abs(transform_residual(1, GAMMA_S, 2j, 4000)) < 1e-4
+
+
+E2_POINTS = [2j, 1j, 1 / 3 + 2j, -0.3 + 1.2j]
+
+
+@pytest.mark.parametrize("gamma", [GAMMA_T, GAMMA_S], ids=["T", "S"])
+@pytest.mark.parametrize("tau", E2_POINTS)
+def test_e2_transform_residuals_to_round_off(gamma, tau):
+    assert abs(transform_residual(1, gamma, tau, 2000)) < 1e-13
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("tau", E2_POINTS)
+def test_rowmajor_matches_q_expansion(k, tau):
+    lat = eisenstein_lattice(k, tau, ROWMAJOR, 2000)
+    ref = two_zeta(k) * eisenstein_q(k, 30).evaluate(cmath.exp(2j * math.pi * tau))
+    assert abs(lat - ref) < 1e-13 * max(1.0, abs(ref))
 
 
 def test_transform_residual_generators_and_product():
