@@ -41,7 +41,7 @@ from .qmod import (
     transform_residual,
     z2plus_shell,
 )
-from .scalars import QI, zeta_even_over_pi_power
+from .scalars import QI, bernoulli, zeta_even_over_pi_power
 from .witten import (
     anomaly_delta,
     anomaly_primitive,
@@ -86,6 +86,24 @@ def _parse_tau(text: str) -> complex:
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
     return tau
+
+
+MIN_SERIES_ORDER = 30  # least q-series order of the eisenstein consistency check
+MAX_SERIES_ORDER = 8192  # its cap; k = 1 and k = 2 stay under it at every row-major tau
+
+
+def _series_order(k: int, im: float) -> int:
+    """Least order >= MIN_SERIES_ORDER (at most MAX_SERIES_ORDER) at which the
+    dropped terms of the normalized E_2k series, about
+    |4k / B_2k| n^{2k-1} |q|^n / (1 - |q|) with |q| = e^{-2 pi im}, are below 1e-17."""
+    log_q = -2 * math.pi * im
+    log_pref = math.log(abs(4 * k / bernoulli(2 * k))) - math.log(-math.expm1(log_q))
+    order = MIN_SERIES_ORDER
+    while order < MAX_SERIES_ORDER and (
+        log_pref + (2 * k - 1) * math.log(order) + order * log_q > math.log(1e-17)
+    ):
+        order += 1
+    return order
 
 
 def _check_tolerance(tol: float) -> None:
@@ -227,7 +245,7 @@ def _cmd_eisenstein(args, report: Report) -> int:
     ranges = {}
     if ordering.variant == "rowmajor":
         m_range, n_range = ordering.effective_ranges(args.bound, tau)
-        ranges = {"rows": m_range, "columns": n_range, "tail_order": ordering.tail}
+        ranges = {"rows": m_range, "columns": n_range}
     _config_record(
         report, args, k=args.k, q_order=args.q_order, tau=_cpx(tau), bound=args.bound,
         ordering=ordering.variant, **ranges, tolerance=tol,
@@ -236,12 +254,16 @@ def _cmd_eisenstein(args, report: Report) -> int:
     rec = series.to_record()
     report.record(record="qseries", rendered=series.render(), **rec)
     report.record(record="lattice", value=_cpx(lattice))
-    # consistency: lattice / (2 zeta(2k)) vs the series at q = e^{2 pi i tau};
-    # evaluated at a fixed deep order so series truncation cannot mask drift
+    # consistency: lattice / (2 zeta(2k)) vs the series at q = e^{2 pi i tau},
+    # at an order whose dropped terms are below round-off there, so series
+    # truncation can neither mask drift nor fake it
     two_zeta = 2 * float(zeta_even_over_pi_power(args.k)) * math.pi ** (2 * args.k)
     qval = cmath.exp(2j * math.pi * tau)
-    drift = abs(lattice / two_zeta - eisenstein_q(args.k, 30).evaluate(qval))
-    report.record(record="consistency", normalized_drift=repr(drift), tolerance=tol)
+    order = _series_order(args.k, tau.imag)
+    drift = abs(lattice / two_zeta - eisenstein_q(args.k, order).evaluate(qval))
+    report.record(
+        record="consistency", normalized_drift=repr(drift), series_order=order, tolerance=tol,
+    )
     worst = drift
     for name, res in residuals:
         worst = max(worst, res)

@@ -18,12 +18,13 @@ Euler-Maclaurin (DLMF 2.10.1): with x = N + w (and x = N - w for n < -N),
     sum_{n>N} (n + w)^{-p} = x^{1-p}/(p-1) - x^{-p}/2
                              + sum_{j=1}^{J} B_{2j}/(2j)! (p)_{2j-1} x^{1-p-2j},
 
-(p)_r the rising factorial.  J = 8 makes any N >= 16 accurate to round-off.  Rows
-are periodic in w, so each row's window is centred on its pole (w is reduced
-to |Re w| <= 1/2).  The rows |m| > M fall off like e^{-2 pi M Im tau}, so M is
-the smallest M >= MIN_ROWS with M Im tau >= ROW_DECAY, i.e. that factor below
-e^{-2 pi 7} ~ 8e-20; a tau needing more than MAX_ROWS rows is rejected before
-anything is allocated.
+(p)_r the rising factorial.  J = TAIL_ORDER = 8 makes any N >= MIN_COLUMNS = 16
+accurate to round-off; the series is asymptotic and fails at small x, so a
+smaller N is raised to 16.  Rows are periodic in w, so each row's window is
+centred on its pole (w is reduced to |Re w| <= 1/2).  The rows |m| > M fall
+off like e^{-2 pi M Im tau}, so M is the smallest M >= MIN_ROWS with
+M Im tau >= ROW_DECAY, i.e. that factor below e^{-2 pi 7} ~ 8e-20; a tau
+needing more than MAX_ROWS rows is rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -357,6 +358,8 @@ GAMMA_S = GammaElement(0, 1, -1, 0)
 MIN_ROWS = 8  # row-major M is never below this
 ROW_DECAY = 7.0  # M * Im tau >= ROW_DECAY puts the dropped rows below e^{-2 pi 7} ~ 8e-20
 MAX_ROWS = 4096  # cap on row-major M, reached at Im tau ~ 1.7e-3
+MIN_COLUMNS = 16  # row-major N is never below this: the row tails are at round-off from here on
+TAIL_ORDER = 8  # Bernoulli terms in each Euler-Maclaurin row tail
 
 
 @dataclass(frozen=True)
@@ -369,34 +372,32 @@ class LatticeOrdering:
       "z2plus"    the half lattice Z^2_+ = {(n, m): m < 0, or m = 0 and n > 0}
                   intersected with max(|m|,|n|) <= shell bound
       "rowmajor"  rows |m| <= M, each a literal sum over |n| <= N (centred on the
-                  row's pole) plus its Euler-Maclaurin tails with ``tail``
-                  Bernoulli terms; realizes the holomorphic E2.  N is the bound,
-                  M is the least M >= MIN_ROWS with M Im tau >= ROW_DECAY (at
-                  most MAX_ROWS).  tail = 0 leaves the literal partial sum.
+                  row's pole) plus its Euler-Maclaurin tails with TAIL_ORDER
+                  Bernoulli terms; realizes the holomorphic E2.  N is the bound
+                  but at least MIN_COLUMNS, M is the least M >= MIN_ROWS with
+                  M Im tau >= ROW_DECAY (at most MAX_ROWS).
     Unset ranges are derived from the call-site bound and tau.
     """
 
     variant: str
     m_range: int | None = None
     n_range: int | None = None
-    tail: int = 8
 
     def __post_init__(self):
         if self.variant not in ("shells", "z2plus", "rowmajor"):
             raise ValueError(f"unknown ordering {self.variant!r}")
-        if self.tail < 0:
-            raise ValueError("tail order must be >= 0")
 
     def effective_ranges(self, bound: int, tau: complex | None = None) -> tuple[int, int]:
         """(M, N) for rowmajor, (shell bound, shell bound) otherwise.
 
-        Without tau the rowmajor M is MIN_ROWS; a tau that needs more than
-        MAX_ROWS rows is a ValueError.
+        The rowmajor N is at least MIN_COLUMNS, where the row tails hold to
+        round-off.  Without tau the rowmajor M is MIN_ROWS; a tau that needs
+        more than MAX_ROWS rows is a ValueError.
         """
         if self.variant != "rowmajor":
             b = self.m_range if self.m_range is not None else bound
             return b, b
-        n = self.n_range if self.n_range is not None else bound
+        n = max(MIN_COLUMNS, self.n_range if self.n_range is not None else bound)
         if self.m_range is not None:
             return self.m_range, n
         if tau is None:
@@ -462,19 +463,19 @@ _BLOCK = 1 << 20  # lattice points per numpy block
 
 
 @functools.cache
-def _tail_terms(power: int, order: int) -> tuple:
-    """(B_2j/(2j)! (power)_{2j-1}, 1 - power - 2j) for j = 1..order."""
+def _tail_terms(power: int) -> tuple:
+    """(B_2j/(2j)! (power)_{2j-1}, 1 - power - 2j) for j = 1..TAIL_ORDER."""
     return tuple(
         (float(bernoulli(2 * j) * math.prod(range(power, power + 2 * j - 1)) / math.factorial(2 * j)),
          1 - power - 2 * j)
-        for j in range(1, order + 1)
+        for j in range(1, TAIL_ORDER + 1)
     )
 
 
-def _row_tail(x, power: int, order: int):
-    """sum_{n>N} (n + w)^-power at x = N + w: Euler-Maclaurin with `order` Bernoulli terms."""
+def _row_tail(x, power: int):
+    """sum_{n>N} (n + w)^-power at x = N + w: Euler-Maclaurin with TAIL_ORDER Bernoulli terms."""
     tail = x ** (1 - power) / (power - 1) - x ** (-power) / 2
-    for c, e in _tail_terms(power, order):
+    for c, e in _tail_terms(power):
         tail += c * x**e
     return tail
 
@@ -515,11 +516,9 @@ def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bou
     m_range, n_range = ordering.effective_ranges(bound, tau)
     w = np.arange(1, m_range + 1) * tau
     w -= np.rint(w.real)  # a row is periodic in w: centre its window on the pole
-    zero_row = _row_sums(np.zeros(1), power, 1, n_range)[0]
-    rows = _row_sums(w, power, -n_range, n_range)
-    if ordering.tail:  # p is even here: the n < -N tail is the n > N tail at -w
-        zero_row += _row_tail(float(n_range), power, ordering.tail)
-        rows += _row_tail(n_range + w, power, ordering.tail) + _row_tail(n_range - w, power, ordering.tail)
+    # p is even here: the n < -N tail is the n > N tail at -w
+    zero_row = _row_sums(np.zeros(1), power, 1, n_range)[0] + _row_tail(float(n_range), power)
+    rows = _row_sums(w, power, -n_range, n_range) + _row_tail(n_range + w, power) + _row_tail(n_range - w, power)
     return complex(pair * (zero_row + np.sum(rows)))
 
 

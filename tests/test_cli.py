@@ -38,11 +38,36 @@ def test_eisenstein_k1_default_passes_to_round_off(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     config = records[0]
     assert config["tolerance"] == 1e-6 and config["tau"] == ["0.0", "2.0"]
-    assert (config["rows"], config["columns"], config["tail_order"]) == (8, 2000, 8)
+    assert (config["rows"], config["columns"]) == (8, 2000)
     values = [float(r["normalized_drift"]) for r in records if r["record"] == "consistency"]
     values += [float(r["value"]) for r in records if r["record"] == "transform-residual"]
     assert len(values) == 3 and max(values) <= 1e-13
     assert records[-1] == {"record": "verdict", "status": "OK"}
+
+
+# The consistency check's series order follows Im tau, so at small Im tau its
+# truncation does not fail a lattice value that is right to round-off.
+@pytest.mark.parametrize("tau,order", [("0,0.1", 76), ("0,0.05", 155)])
+def test_eisenstein_k1_small_im_tau_passes(capsys, tau, order):
+    status, out = run_cli(capsys, "--format", "records", "eisenstein", "--k", "1", f"--tau={tau}")
+    assert status == OK
+    (consistency,) = [json.loads(line) for line in out.splitlines() if '"consistency"' in line]
+    assert consistency["series_order"] == order
+    assert float(consistency["normalized_drift"]) <= 1e-12
+
+
+# A row-major bound below MIN_COLUMNS is raised to it, where the row tails hold.
+@pytest.mark.parametrize("k", [1, 2])
+def test_eisenstein_rowmajor_small_bound_passes(capsys, k):
+    status, out = run_cli(
+        capsys, "--format", "records", "eisenstein", "--k", str(k), "--ordering", "rowmajor", "--bound", "2",
+    )
+    assert status == OK
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[0]["columns"] == 16
+    values = [float(r["normalized_drift"]) for r in records if r["record"] == "consistency"]
+    values += [float(r["value"]) for r in records if r["record"] == "transform-residual"]
+    assert max(values) <= 1e-13
 
 
 def test_eisenstein_rejects_bad_flags(capsys):

@@ -10,6 +10,7 @@ from ellgenus.qmod import (
     GAMMA_S,
     GAMMA_T,
     MAX_ROWS,
+    MIN_COLUMNS,
     MIN_ROWS,
     ROW_DECAY,
     ROWMAJOR,
@@ -168,18 +169,20 @@ ZETA = {2: math.pi**2 / 6, 4: math.pi**4 / 90}
 
 
 # One row m = 1 at tau = z: the sum is 2 (zeta(p) + row(z)).  The z with large
-# Re z would put the pole in the tail without the centred window.
+# Re z would put the pole in the tail without the centred window.  A bound below
+# MIN_COLUMNS, where the asymptotic tail series would fail, is raised to it.
 @pytest.mark.parametrize("power", [2, 4])
 @pytest.mark.parametrize("z", [1j, 2.5j, 0.3 + 0.4j, -0.7 + 0.05j, 1 / 3 + 2j, 7.3 + 0.2j, -40.5 + 0.3j])
-@pytest.mark.parametrize("bound", [16, 200])
+@pytest.mark.parametrize("bound", [1, 2, 3, 16, 200])
 def test_tailed_row_is_the_cosecant_closed_form(power, z, bound):
     row = lattice_partial_sum(power, z, LatticeOrdering("rowmajor", m_range=1), bound) / 2 - ZETA[power]
     expected = cosecant_row(power, z)
     assert abs(row - expected) < 1e-13 * max(1.0, abs(expected))
 
 
-# tail = 0 is the literal partial sum (brute-force double loop as oracle); the
-# tailed sum is the closed form of every row; their difference is the analytic tail.
+# The sum is the literal partial sum (brute-force double loop) plus each row's
+# two analytic tails, and it is the closed form of every row.  At these tau,
+# |Re m tau| <= 1/2 for every row, so no row window is shifted.
 @pytest.mark.parametrize("tau", [1j, 0.05 + 0.8j])
 def test_literal_sum_and_the_analytic_tail(tau):
     rows, bound = 5, 20
@@ -189,21 +192,23 @@ def test_literal_sum_and_the_analytic_tail(tau):
         for n in range(-bound, bound + 1)
         if (m, n) != (0, 0)
     )
-    literal = lattice_partial_sum(2, tau, LatticeOrdering("rowmajor", m_range=rows, tail=0), bound)
+    # row m has its tails at N + m tau and N - m tau, so every N + m tau is used twice
+    tails = 2 * sum(qmod._row_tail(bound + m * tau, 2) for m in range(-rows, rows + 1))
     tailed = lattice_partial_sum(2, tau, LatticeOrdering("rowmajor", m_range=rows), bound)
     closed = 2 * ZETA[2] + 2 * sum(cosecant_row(2, m * tau) for m in range(1, rows + 1))
-    assert abs(literal - brute) < 1e-13
+    assert abs(tailed - (brute + tails)) < 1e-13
     assert abs(tailed - closed) < 1e-13
-    assert abs((tailed - literal) - (closed - brute)) < 1e-13
     # to leading order each row side adds 1/bound: 2 (2 rows + 1) / bound = 1.1
-    assert abs((tailed - literal) - 2 * (2 * rows + 1) / bound) < 0.1
+    assert abs(tails - 2 * (2 * rows + 1) / bound) < 0.1
 
 
 def test_row_count_follows_im_tau():
     assert ROWMAJOR.effective_ranges(300, 1j) == (MIN_ROWS, 300)
     assert ROWMAJOR.effective_ranges(300, 0.5j) == (14, 300)
     assert ROWMAJOR.effective_ranges(300) == (MIN_ROWS, 300)
-    assert LatticeOrdering("rowmajor", m_range=3, n_range=7).effective_ranges(300, 0.01j) == (3, 7)
+    assert LatticeOrdering("rowmajor", m_range=3, n_range=70).effective_ranges(300, 0.01j) == (3, 70)
+    assert LatticeOrdering("rowmajor", n_range=7).effective_ranges(300) == (MIN_ROWS, MIN_COLUMNS)
+    assert ROWMAJOR.effective_ranges(2, 1j) == (MIN_ROWS, MIN_COLUMNS)
     assert SHELLS.effective_ranges(300, 1j) == (300, 300)
     edge = ROW_DECAY / MAX_ROWS
     assert ROWMAJOR.effective_ranges(300, 1j * edge) == (MAX_ROWS, 300)
@@ -218,11 +223,6 @@ def test_rowmajor_rejects_an_im_tau_over_the_row_cap(monkeypatch, im):
     monkeypatch.setattr(qmod, "_row_sums", no_rows)
     with pytest.raises(ValueError, match=f"more than {MAX_ROWS} row-major rows"):
         eisenstein_lattice(1, 0.25 + 1j * im, ROWMAJOR, 2000)
-
-
-def test_tail_order_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        LatticeOrdering("rowmajor", tail=-1)
 
 
 def test_z2plus_enumeration_is_the_half_lattice():
