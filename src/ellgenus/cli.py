@@ -31,10 +31,9 @@ from .pfaff import (
 from .qmod import (
     GAMMA_S,
     GAMMA_T,
+    ROWMAJOR,
     NoDecomposition,
     QSeries,
-    LatticeOrdering,
-    default_ordering,
     eisenstein_lattice,
     eisenstein_q,
     quasi_modular_decompose,
@@ -95,15 +94,25 @@ MAX_SERIES_ORDER = 8192  # its cap; k = 1 and k = 2 stay under it at every row-m
 def _series_order(k: int, im: float) -> int:
     """Least order >= MIN_SERIES_ORDER (at most MAX_SERIES_ORDER) at which the
     dropped terms of the normalized E_2k series, about
-    |4k / B_2k| n^{2k-1} |q|^n / (1 - |q|) with |q| = e^{-2 pi im}, are below 1e-17."""
+    |4k / B_2k| n^{2k-1} |q|^n / (1 - |q|) with |q| = e^{-2 pi im}, are below 1e-17.
+    The terms grow up to n = (2k - 1) / (2 pi im), so the order is at least that."""
     log_q = -2 * math.pi * im
-    log_pref = math.log(abs(4 * k / bernoulli(2 * k))) - math.log(-math.expm1(log_q))
-    order = MIN_SERIES_ORDER
+    pref = 4 * k / bernoulli(2 * k)  # exact: its float under- or overflows at large k
+    log_pref = (
+        math.log(abs(pref.numerator)) - math.log(pref.denominator) - math.log(-math.expm1(log_q))
+    )
+    order = min(MAX_SERIES_ORDER, max(MIN_SERIES_ORDER, math.ceil((2 * k - 1) / -log_q)))
     while order < MAX_SERIES_ORDER and (
         log_pref + (2 * k - 1) * math.log(order) + order * log_q > math.log(1e-17)
     ):
         order += 1
     return order
+
+
+def _two_zeta(k: int) -> float:
+    """2 zeta(2k) = 2 r pi^(2k), r rational, rounded once from the exact product
+    with float pi: pi^(2k) and r alone over- and underflow from k ~ 310 on."""
+    return float(2 * zeta_even_over_pi_power(k) * Fraction(math.pi) ** (2 * k))
 
 
 def _check_tolerance(tol: float) -> None:
@@ -172,7 +181,6 @@ def _build_parser():
     p.add_argument("--q-order", type=int, default=10)
     p.add_argument("--tau", default="0,2", help="complex as re,im decimals")
     p.add_argument("--bound", type=int, default=2000)
-    p.add_argument("--ordering", choices=("shells", "rowmajor", "z2plus"), default=None)
     p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(handler=_cmd_eisenstein)
 
@@ -222,45 +230,40 @@ def _cmd_eisenstein(args, report: Report) -> int:
     if args.k < 1 or args.q_order < 1 or args.bound < 1:
         raise ValueError("need --k >= 1, --q-order >= 1 and --bound >= 1")
     tau = _parse_tau(args.tau)
-    ordering = LatticeOrdering(args.ordering) if args.ordering else default_ordering(args.k)
     tol = args.tolerance if args.tolerance is not None else 1e-6
     _check_tolerance(tol)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         try:
-            lattice = eisenstein_lattice(args.k, tau, ordering, args.bound)
+            lattice = eisenstein_lattice(args.k, tau, args.bound)
             residuals = [
-                (name, abs(transform_residual(args.k, gamma, tau, args.bound, ordering)))
+                (name, abs(transform_residual(args.k, gamma, tau, args.bound)))
                 for name, gamma in (("T", GAMMA_T), ("S", GAMMA_S))
             ]
-            finite = cmath.isfinite(lattice) and all(math.isfinite(res) for _, res in residuals)
+            # consistency: lattice / (2 zeta(2k)) vs the series at q = e^{2 pi i tau},
+            # at an order whose dropped terms are below round-off there, so series
+            # truncation can neither mask drift nor fake it
+            order = _series_order(args.k, tau.imag)
+            value = eisenstein_q(args.k, order).evaluate(cmath.exp(2j * math.pi * tau))
+            drift = abs(lattice / _two_zeta(args.k) - value) / max(1.0, abs(value))
+            finite = math.isfinite(drift) and all(math.isfinite(res) for _, res in residuals)
         except OverflowError:
             finite = False
         except ValueError as exc:  # tau or its S image needs more rows than qmod.MAX_ROWS
             raise ValueError(f"--tau {args.tau}: {exc}") from exc
     if not finite:
         raise ValueError(
-            f"--tau {args.tau}: the lattice value or a transform residual is not finite "
-            "in double precision"
+            f"--k {args.k} at --tau {args.tau}: the lattice sums or the q-series are not "
+            "finite in double precision"
         )
-    ranges = {}
-    if ordering.variant == "rowmajor":
-        m_range, n_range = ordering.effective_ranges(args.bound, tau)
-        ranges = {"rows": m_range, "columns": n_range}
+    m_range, n_range = ROWMAJOR.effective_ranges(args.bound, tau)
     _config_record(
         report, args, k=args.k, q_order=args.q_order, tau=_cpx(tau), bound=args.bound,
-        ordering=ordering.variant, **ranges, tolerance=tol,
+        ordering=ROWMAJOR.variant, rows=m_range, columns=n_range, tolerance=tol,
     )
     series = eisenstein_q(args.k, args.q_order)
     rec = series.to_record()
     report.record(record="qseries", rendered=series.render(), **rec)
     report.record(record="lattice", value=_cpx(lattice))
-    # consistency: lattice / (2 zeta(2k)) vs the series at q = e^{2 pi i tau},
-    # at an order whose dropped terms are below round-off there, so series
-    # truncation can neither mask drift nor fake it
-    two_zeta = 2 * float(zeta_even_over_pi_power(args.k)) * math.pi ** (2 * args.k)
-    qval = cmath.exp(2j * math.pi * tau)
-    order = _series_order(args.k, tau.imag)
-    drift = abs(lattice / two_zeta - eisenstein_q(args.k, order).evaluate(qval))
     report.record(
         record="consistency", normalized_drift=repr(drift), series_order=order, tolerance=tol,
     )

@@ -3,17 +3,18 @@
 Two independent evaluation pipelines live here.  ``eisenstein_q`` produces the
 normalized series Ẽ_{2k} (constant term 1, rational coefficients) from divisor
 sums; ``eisenstein_lattice`` computes partial sums of
-sum 1/(m*tau + n)^{2k} over Z^2 \\ {0} in a caller-chosen order.  They are tied
-together by E^lat_{2k} = 2 zeta(2k) Ẽ_{2k}, which the tests and the CLI check
-numerically.
+sum 1/(m*tau + n)^{2k} over Z^2 \\ {0}.  They are tied together by
+E^lat_{2k} = 2 zeta(2k) Ẽ_{2k}, which the tests and the CLI check numerically.
 
-For k = 1 the lattice sum is only conditionally convergent; the row-major
-order (for each m, sum the whole row over n, then sum over m) realizes the
-holomorphic quasi-modular E2, which is validated against its SL2(Z)
-transformation law rather than assumed.  Each row sum_n (w + n)^{-p}, w = m tau,
-converges absolutely; only the order of m against n is conditional.  So a row
-is a literal sum over |n| <= N plus its two tails in closed form, by
-Euler-Maclaurin (DLMF 2.10.1): with x = N + w (and x = N - w for n < -N),
+The sums run in row-major order: for each m, sum the whole row over n, then
+sum over m.  For k >= 2 the lattice sum converges absolutely and any order
+gives the same value; for k = 1 it is only conditionally convergent, and this
+order realizes the holomorphic quasi-modular E2, which is validated against
+its SL2(Z) transformation law rather than assumed.  Each row
+sum_n (w + n)^{-p}, w = m tau, converges absolutely; only the order of m
+against n is conditional.  So a row is a literal sum over |n| <= N plus its
+two tails in closed form, by Euler-Maclaurin (DLMF 2.10.1): with x = N + w
+(and x = N - w for n < -N),
 
     sum_{n>N} (n + w)^{-p} = x^{1-p}/(p-1) - x^{-p}/2
                              + sum_{j=1}^{J} B_{2j}/(2j)! (p)_{2j-1} x^{1-p-2j},
@@ -34,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -301,19 +303,23 @@ def _min_order(a, b):
 # Eisenstein q-expansions
 
 
-def sigma(power: int, n: int) -> int:
-    """Divisor sum sigma_power(n)."""
-    return sum(d**power for d in range(1, n + 1) if n % d == 0)
-
-
 def eisenstein_q(k: int, order: int) -> QSeries:
-    """Normalized Eisenstein series Ẽ_{2k} = 1 - (4k/B_{2k}) sum sigma_{2k-1}(n) q^n."""
+    """Normalized Eisenstein series Ẽ_{2k} = 1 - (4k/B_{2k}) sum sigma_{2k-1}(n) q^n.
+
+    The divisor sums come from a sieve: d^{2k-1} is added to every multiple
+    of d below the order.
+    """
     if k < 1 or order < 1:
         raise ValueError("need k >= 1 and order >= 1")
     pref = Fraction(-4 * k) / bernoulli(2 * k)
+    sigma = [0] * order
+    for d in range(1, order):
+        power = d ** (2 * k - 1)
+        for n in range(d, order, d):
+            sigma[n] += power
     coeffs = {0: Fraction(1)}
     for n in range(1, order):
-        coeffs[n] = pref * sigma(2 * k - 1, n)
+        coeffs[n] = pref * sigma[n]
     return QSeries(2 * k, coeffs, order)
 
 
@@ -328,7 +334,7 @@ def half_lattice_normalization(k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Lattice orderings and partial sums
+# SL2(Z) elements and row-major lattice sums
 
 
 @dataclass(frozen=True)
@@ -364,39 +370,27 @@ TAIL_ORDER = 8  # Bernoulli terms in each Euler-Maclaurin row tail
 
 @dataclass(frozen=True)
 class LatticeOrdering:
-    """Enumeration strategy for sums over Z^2 \\ {0}.
+    """The row-major enumeration of Z^2 \\ {0} and its ranges.
 
-    variant:
-      "shells"    symmetric square shells max(|m|,|n|) = s, s = 1..max_norm,
-                  summed as the Z^2_+ shell doubled (even powers; odd ones cancel)
-      "z2plus"    the half lattice Z^2_+ = {(n, m): m < 0, or m = 0 and n > 0}
-                  intersected with max(|m|,|n|) <= shell bound
-      "rowmajor"  rows |m| <= M, each a literal sum over |n| <= N (centred on the
-                  row's pole) plus its Euler-Maclaurin tails with TAIL_ORDER
-                  Bernoulli terms; realizes the holomorphic E2.  N is the bound
-                  but at least MIN_COLUMNS, M is the least M >= MIN_ROWS with
-                  M Im tau >= ROW_DECAY (at most MAX_ROWS).
-    Unset ranges are derived from the call-site bound and tau.
+    Rows |m| <= M, each a literal sum over |n| <= N (centred on the row's
+    pole) plus its Euler-Maclaurin tails with TAIL_ORDER Bernoulli terms; this
+    order realizes the holomorphic E2.  N is the bound but at least
+    MIN_COLUMNS, M is the least M >= MIN_ROWS with M Im tau >= ROW_DECAY (at
+    most MAX_ROWS).  Unset ranges are derived from the call-site bound and
+    tau; setting m_range sums a chosen number of rows.
     """
 
-    variant: str
+    variant: ClassVar[str] = "rowmajor"
     m_range: int | None = None
     n_range: int | None = None
 
-    def __post_init__(self):
-        if self.variant not in ("shells", "z2plus", "rowmajor"):
-            raise ValueError(f"unknown ordering {self.variant!r}")
-
     def effective_ranges(self, bound: int, tau: complex | None = None) -> tuple[int, int]:
-        """(M, N) for rowmajor, (shell bound, shell bound) otherwise.
+        """(M, N).
 
-        The rowmajor N is at least MIN_COLUMNS, where the row tails hold to
-        round-off.  Without tau the rowmajor M is MIN_ROWS; a tau that needs
-        more than MAX_ROWS rows is a ValueError.
+        N is at least MIN_COLUMNS, where the row tails hold to round-off.
+        Without tau M is MIN_ROWS; a tau that needs more than MAX_ROWS rows
+        is a ValueError.
         """
-        if self.variant != "rowmajor":
-            b = self.m_range if self.m_range is not None else bound
-            return b, b
         n = max(MIN_COLUMNS, self.n_range if self.n_range is not None else bound)
         if self.m_range is not None:
             return self.m_range, n
@@ -410,9 +404,7 @@ class LatticeOrdering:
         return max(MIN_ROWS, math.ceil(ROW_DECAY / tau.imag)), n
 
 
-SHELLS = LatticeOrdering("shells")
-Z2PLUS = LatticeOrdering("z2plus")
-ROWMAJOR = LatticeOrdering("rowmajor")
+ROWMAJOR = LatticeOrdering()
 
 
 def z2plus_shell(s: int):
@@ -464,19 +456,22 @@ _BLOCK = 1 << 20  # lattice points per numpy block
 
 @functools.cache
 def _tail_terms(power: int) -> tuple:
-    """(B_2j/(2j)! (power)_{2j-1}, 1 - power - 2j) for j = 1..TAIL_ORDER."""
+    """(B_2j/(2j)! (power)_{2j-1}, power - 1 + 2j) for j = 1..TAIL_ORDER."""
     return tuple(
         (float(bernoulli(2 * j) * math.prod(range(power, power + 2 * j - 1)) / math.factorial(2 * j)),
-         1 - power - 2 * j)
+         power - 1 + 2 * j)
         for j in range(1, TAIL_ORDER + 1)
     )
 
 
+# Both helpers take powers of reciprocals, (1/x)^p, never x^-p: numpy forms x^p
+# first, which overflows to nan at large p, where (1/x)^p just underflows to 0.
 def _row_tail(x, power: int):
     """sum_{n>N} (n + w)^-power at x = N + w: Euler-Maclaurin with TAIL_ORDER Bernoulli terms."""
-    tail = x ** (1 - power) / (power - 1) - x ** (-power) / 2
+    r = 1 / x
+    tail = r ** (power - 1) / (power - 1) - r**power / 2
     for c, e in _tail_terms(power):
-        tail += c * x**e
+        tail += c * r**e
     return tail
 
 
@@ -486,71 +481,50 @@ def _row_sums(w, power: int, lo: int, hi: int):
     step = max(1, _BLOCK // max(1, len(w)))
     for a in range(lo, hi + 1, step):
         n = np.arange(a, min(a + step, hi + 1), dtype=np.float64)
-        sums += np.sum((w[:, None] + n) ** (-power), axis=1)
+        sums += np.sum((1 / (w[:, None] + n)) ** power, axis=1)
     return sums
 
 
 def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bound: int) -> complex:
-    """Partial sum of 1/(m*tau + n)^power in the given order.
+    """Partial sum of 1/(m*tau + n)^power in row-major order, over the ordering's ranges.
 
-    Symmetric variants pair (n, m) with (-n, -m), which makes odd powers cancel
-    exactly and tames floating-point cancellation for the conditional k = 1 case.
+    (n, m) is paired with (-n, -m), which makes odd powers cancel exactly and
+    tames floating-point cancellation for the conditional k = 1 case.
     """
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    pair = 1 + (-1) ** power
-    if ordering.variant == "z2plus":
-        pair = 1
-    elif pair == 0:
+    if power % 2:
         return 0j  # (n, m) <-> (-n, -m) antisymmetry, exactly
-    if ordering.variant != "rowmajor":
-        # a square shell is its Z^2_+ part and that part's mirror image
-        total = 0.0 + 0.0j
-        for s in range(1, ordering.effective_ranges(bound)[0] + 1):
-            n, m = z2plus_shell(s)
-            total += pair * np.sum((m * tau + n) ** (-power))
-        return complex(total)
-    # row-major: the m = 0 row (n > 0, paired), then rows +-m paired, each row whole
+    # the m = 0 row (n > 0, paired), then rows +-m paired, each row whole
     m_range, n_range = ordering.effective_ranges(bound, tau)
     w = np.arange(1, m_range + 1) * tau
     w -= np.rint(w.real)  # a row is periodic in w: centre its window on the pole
-    # p is even here: the n < -N tail is the n > N tail at -w
+    # p is even: the n < -N tail is the n > N tail at -w
     zero_row = _row_sums(np.zeros(1), power, 1, n_range)[0] + _row_tail(float(n_range), power)
     rows = _row_sums(w, power, -n_range, n_range) + _row_tail(n_range + w, power) + _row_tail(n_range - w, power)
-    return complex(pair * (zero_row + np.sum(rows)))
+    return complex(2 * (zero_row + np.sum(rows)))
 
 
-def default_ordering(k: int) -> LatticeOrdering:
-    return ROWMAJOR if k == 1 else SHELLS
-
-
-def eisenstein_lattice(k: int, tau: complex, ordering: LatticeOrdering, bound: int) -> complex:
-    """Partial lattice sum of E_{2k}(tau) = sum 1/(m tau + n)^{2k} in the given order."""
+def eisenstein_lattice(k: int, tau: complex, bound: int) -> complex:
+    """Partial lattice sum of E_{2k}(tau) = sum 1/(m tau + n)^{2k} in row-major order."""
     if k < 1:
         raise ValueError("need k >= 1")
-    return lattice_partial_sum(2 * k, tau, ordering, bound)
+    return lattice_partial_sum(2 * k, tau, ROWMAJOR, bound)
 
 
-def transform_residual(
-    k: int,
-    gamma: GammaElement,
-    tau: complex,
-    bound: int,
-    ordering: LatticeOrdering | None = None,
-) -> complex:
-    """E(gamma tau) - [(c tau + d)^{2k} E(tau) + anomaly], anomaly = -2 pi i c (c tau + d) for k=1."""
+def transform_residual(k: int, gamma: GammaElement, tau: complex, bound: int) -> complex:
+    """(left - right) / max(1, |left|, |right|), left = E(gamma tau) and
+    right = (c tau + d)^{2k} E(tau) + anomaly, anomaly = -2 pi i c (c tau + d) for k = 1."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    if ordering is None:
-        ordering = default_ordering(k)
     j = gamma.automorphy(tau)
-    left = eisenstein_lattice(k, gamma.apply(tau), ordering, bound)
-    right = j ** (2 * k) * eisenstein_lattice(k, tau, ordering, bound)
+    left = eisenstein_lattice(k, gamma.apply(tau), bound)
+    right = j ** (2 * k) * eisenstein_lattice(k, tau, bound)
     if k == 1:
         right += -2j * math.pi * gamma.c * j
-    return left - right
+    return (left - right) / max(1.0, abs(left), abs(right))
 
 
 # ---------------------------------------------------------------------------

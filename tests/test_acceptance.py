@@ -29,8 +29,6 @@ from ellgenus.bvloc import bv_localize, calibration_problem
 from ellgenus.qmod import (
     GAMMA_S,
     GAMMA_T,
-    ROWMAJOR,
-    SHELLS,
     eisenstein_lattice,
     eisenstein_q,
     quasi_modular_decompose,
@@ -59,7 +57,7 @@ def test_criterion_1_eisenstein_consistency():
     for k in (2, 3, 4):
         for tau in (1j, 2j):
             t0 = time.time()
-            lat = eisenstein_lattice(k, tau, SHELLS, 2000)
+            lat = eisenstein_lattice(k, tau, 2000)
             two_zeta = 2 * float(zeta_even_over_pi_power(k)) * math.pi ** (2 * k)
             ref = eisenstein_q(k, 30).evaluate(cmath.exp(2j * math.pi * tau))
             worst = max(worst, abs(lat / two_zeta - ref))
@@ -80,7 +78,7 @@ def test_criterion_2_e2_anomaly():
     for gamma in (GAMMA_T, GAMMA_S):
         for tau in (1j, 1 / 3 + 2j):
             worst = max(worst, abs(transform_residual(1, gamma, tau, 4000)))
-    pi_err = abs(eisenstein_lattice(1, 1j, ROWMAJOR, 4000) - math.pi)
+    pi_err = abs(eisenstein_lattice(1, 1j, 4000) - math.pi)
     report(
         2,
         "E2 transformation anomaly",
@@ -125,7 +123,7 @@ def test_criterion_3_pfaffian_laws():
            f"({checked} cases in {elapsed:.2f}s)")
 
 
-def test_criterion_4_product_truncation_identity():
+def test_criterion_4_product_truncation_identity(square_shell_sum):
     """Exact exponential identity for r <= 2, shells <= 3; numeric beta^2 tracking at 2000."""
     tau = QI(0, 2)
     exact_ok = True
@@ -140,7 +138,7 @@ def test_criterion_4_product_truncation_identity():
     alg = model.algebra
     coeff = value.terms[((alg.index["b"], 2), (alg.index["x1"], 2))]
     # independent route: numpy sum over the symmetrized set = square lattice sum
-    lattice = eisenstein_lattice(1, 2j, SHELLS, 2000)
+    lattice = square_shell_sum(2, 2j, 2000)
     drift = abs(coeff - (-lattice / 2))
     report(
         4,

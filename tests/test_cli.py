@@ -60,7 +60,7 @@ def test_eisenstein_k1_small_im_tau_passes(capsys, tau, order):
 @pytest.mark.parametrize("k", [1, 2])
 def test_eisenstein_rowmajor_small_bound_passes(capsys, k):
     status, out = run_cli(
-        capsys, "--format", "records", "eisenstein", "--k", str(k), "--ordering", "rowmajor", "--bound", "2",
+        capsys, "--format", "records", "eisenstein", "--k", str(k), "--bound", "2",
     )
     assert status == OK
     records = [json.loads(line) for line in out.splitlines()]
@@ -68,6 +68,43 @@ def test_eisenstein_rowmajor_small_bound_passes(capsys, k):
     values = [float(r["normalized_drift"]) for r in records if r["record"] == "consistency"]
     values += [float(r["value"]) for r in records if r["record"] == "transform-residual"]
     assert max(values) <= 1e-13
+
+
+def test_eisenstein_default_tau_passes_for_every_k_up_to_80(capsys):
+    for k in range(1, 81):
+        status, out = run_cli(capsys, "eisenstein", "--k", str(k))
+        assert status == OK, f"--k {k}: {out}"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("tau,rows", [("0,0.01", 700), ("0,0.002", 3500)])
+def test_eisenstein_small_im_tau_passes(capsys, k, tau, rows):
+    status, out = run_cli(capsys, "--format", "records", "eisenstein", "--k", str(k), f"--tau={tau}")
+    assert status == OK
+    records = [json.loads(line) for line in out.splitlines()]
+    config = records[0]
+    assert (config["ordering"], config["rows"], config["columns"]) == ("rowmajor", rows, 2000)
+    values = [float(r["normalized_drift"]) for r in records if r["record"] == "consistency"]
+    values += [float(r["value"]) for r in records if r["record"] == "transform-residual"]
+    assert max(values) <= 1e-13
+
+
+# Large k reaches no ArithmeticError: exit 0, or exit 1 with one line naming the flags.
+# At tau = i and k = 400 the q-series coefficients near its largest term, n ~ 127,
+# exceed the double range.
+@pytest.mark.parametrize("argv,expected", [
+    ("eisenstein --k 100", OK),
+    ("eisenstein --k 150", OK),
+    ("eisenstein --k 200", OK),
+    ("eisenstein --k 400", OK),
+    ("eisenstein --k 400 --tau 0,1", INPUT_ERROR),
+])
+def test_eisenstein_large_k_exits_cleanly(capsys, argv, expected):
+    assert main(argv.split()) == expected
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if expected == INPUT_ERROR:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: --k 400 at --tau 0,1: ")
 
 
 def test_eisenstein_rejects_bad_flags(capsys):

@@ -184,9 +184,7 @@ def test_anomaly_u_numeric_tie_back():
     # E2-symbol series transforms as j^2 (E2 - u/2): estimate E2(gamma tau)
     # through the lattice route: E2_hat = lattice/(2 (2 pi i)^2)
     def e2_hat(t):
-        from ellgenus.qmod import ROWMAJOR
-
-        return eisenstein_lattice(1, t, ROWMAJOR, 3000) / (2 * (2j * math.pi) ** 2)
+        return eisenstein_lattice(1, t, 3000) / (2 * (2j * math.pi) ** 2)
 
     lhs = e2_hat(-1 / tau)
     rhs = j**2 * (e2_hat(tau) - u / 2)
