@@ -34,6 +34,7 @@ from .qmod import (
     ROWMAJOR,
     NoDecomposition,
     QSeries,
+    e_monomial_name,
     eisenstein_lattice,
     eisenstein_q,
     quasi_modular_decompose,
@@ -87,6 +88,9 @@ def _parse_tau(text: str) -> complex:
     return tau
 
 
+# largest eisenstein --k: B_2k takes a quadratic number of exact Fraction steps,
+# and B_800 alone takes about 5 s
+MAX_K = 400
 MIN_SERIES_ORDER = 30  # least q-series order of the eisenstein consistency check
 MAX_SERIES_ORDER = 8192  # its cap; k = 1 and k = 2 stay under it at every row-major tau
 
@@ -227,8 +231,8 @@ def _build_parser():
 
 
 def _cmd_eisenstein(args, report: Report) -> int:
-    if args.k < 1 or args.q_order < 1 or args.bound < 1:
-        raise ValueError("need --k >= 1, --q-order >= 1 and --bound >= 1")
+    if not 1 <= args.k <= MAX_K or args.q_order < 1 or args.bound < 1:
+        raise ValueError(f"need 1 <= --k <= {MAX_K}, --q-order >= 1 and --bound >= 1")
     tau = _parse_tau(args.tau)
     tol = args.tolerance if args.tolerance is not None else 1e-6
     _check_tolerance(tol)
@@ -303,25 +307,16 @@ def _cmd_genus(args, report: Report) -> int:
         # every genus is quasi-modular; reaching this is an identity failure
         report.record(record="verdict", status="FAIL", reason=str(exc))
         return IDENTITY_FAILURE
-    genus = out["genus"]
+    genus, e2 = out["genus"], out["e2_coefficient"]
     report.record(record="genus", rendered=genus.render(), **genus.to_record())
     report.record(
         record="decomposition",
         weight=out["weight"],
         polynomial=out["decomposition"].render(),
-        e2_part=_mono_dict(out["e2_coefficient"]),
+        e2_part={e_monomial_name(mono): str(c) for mono, c in sorted(e2.items())},
         verdict=out["verdict"],
     )
     return OK
-
-
-def _mono_dict(coeffs: dict) -> dict:
-    names = ("E2", "E4", "E6")
-    out = {}
-    for mono in sorted(coeffs):
-        key = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(mono) if e) or "1"
-        out[key] = str(coeffs[mono])
-    return out
 
 
 def _cmd_decompose(args, report: Report) -> int:
@@ -344,8 +339,8 @@ def _cmd_decompose(args, report: Report) -> int:
 def _cmd_pfaffian_product(args, report: Report) -> int:
     if args.dim % 4 or args.dim < 4:
         raise ValueError("--dim must be a positive multiple of 4")
-    if args.roots < 1:
-        raise ValueError("need --roots >= 1")
+    if args.roots < 1 or args.shells < 1 or args.exact_shells < 0:
+        raise ValueError("need --roots >= 1, --shells >= 1 and --exact-shells >= 0")
     tau = _parse_tau(args.tau)
     _config_record(
         report, args, roots=args.roots, dim=args.dim, tau=_cpx(tau),

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .qmod import QSeries
-from .scalars import PiScalar, QI
+from .scalars import PiScalar, QI, power
 
 RATIONAL = "rational"
 PI = "pi"
@@ -338,14 +338,7 @@ class Element:
     def __pow__(self, e: int):
         if e < 0:
             return _invert_unit_monomial(self) ** (-e)
-        out = self.algebra.one(self.mode)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, self.algebra.one(self.mode))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -81,7 +81,6 @@ def pfaffian(matrix) -> Element:
     unit pivot exists.
     """
     n = _check_skew(matrix)
-    alg = matrix[0][0].algebra if n else None
     if n == 0:
         raise ValueError("empty matrix has no algebra context")
     if n <= 8:
@@ -396,7 +395,7 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
     for n in range(1, mode_bound + 1):
         dplus = determinant(a_hat_mode_matrix(model, n, mode, +1))
         dminus = determinant(a_hat_mode_matrix(model, n, mode, -1))
-        if mode != dga.COMPLEX and dplus != dminus:
+        if dplus != dminus:
             raise PfaffianRouteMismatch(f"mode {n}: det+ != det-")
         acc = acc * dplus
     return unit_inverse(acc)

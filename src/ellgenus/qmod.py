@@ -39,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .scalars import QI, bernoulli
+from .scalars import QI, bernoulli, power
 
 
 class WeightMismatch(ValueError):
@@ -165,14 +165,7 @@ class QSeries:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = QSeries.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, QSeries.constant(1))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse up to this truncation order."""
@@ -560,18 +553,16 @@ class QuasiModularDecomposition:
     def render(self) -> str:
         if not self.coeffs:
             return "0"
-        names = ("E2", "E4", "E6")
-        parts = []
-        for mono in sorted(self.coeffs):
-            c = self.coeffs[mono]
-            factors = [
-                f"{names[i]}^{e}" if e > 1 else names[i]
-                for i, e in enumerate(mono)
-                if e
-            ]
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"({c})*{body}" if factors else f"({c})")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({c})*{e_monomial_name(mono)}" if any(mono) else f"({c})"
+            for mono, c in sorted(self.coeffs.items())
+        )
+
+
+def e_monomial_name(mono) -> str:
+    """E2^a*E4^b*E6^c for exponents (a, b, c), without ^1 or ^0 factors; "1" if none."""
+    names = ("E2", "E4", "E6")
+    return "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(mono) if e) or "1"
 
 
 def quasi_modular_decompose(f: QSeries) -> QuasiModularDecomposition:

@@ -32,6 +32,17 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
+def power(base, e: int, one):
+    """base ** e for an integer e >= 0 by square-and-multiply, from the unit one."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
 def zeta_even_over_pi_power(k: int) -> Fraction:
     """The rational r with zeta(2k) = r * pi^(2k)."""
     if k < 1:
@@ -103,13 +114,7 @@ class QI:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out, base = QI(1), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, QI(1))
 
     def __eq__(self, other):
         try:
@@ -226,13 +231,7 @@ class PiScalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out, base = PiScalar.of(1), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, PiScalar.of(1))
 
     def __eq__(self, other):
         try:

@@ -2,7 +2,9 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from ellgenus.bvloc import (
     EquivariantSurfaceProblem,
@@ -13,6 +15,7 @@ from ellgenus.bvloc import (
     parse_poly,
     q_closedness_residual,
 )
+from ellgenus.cli import OK, main
 
 
 def test_parse_poly():
@@ -108,3 +111,35 @@ def test_localize_rejects_non_finite_values():
     # infinite coefficients make the closedness residual nan, which must not pass
     with pytest.raises(ValueError, match="not Q-closed"):
         bv_localize(EquivariantSurfaceProblem.make("1e308*z**3", "-3e308*z**2", 1, grid=8))
+
+
+def test_closedness_tolerance_scales_with_the_coefficients(tmp_path):
+    # alpha0' and s g are both 1e15 in size: round-off there is not a failure
+    rec = {"alpha0": "1e15*z", "g": "-1e15/7", "s": "7"}
+    assert bv_localize(EquivariantSurfaceProblem.from_record(rec))["residual"] < 1e-12
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(rec))
+    assert main(["localize", "--problem", str(path)]) == OK
+    # a relative mismatch of 7e-8 is still not closed
+    with pytest.raises(ValueError, match="not Q-closed"):
+        bv_localize(EquivariantSurfaceProblem.make("1e15*z", "-1e15/7 + 1e7", 7))
+
+
+def test_infinite_coefficient_is_not_closed():
+    # the residual and the scale are both inf here, and inf <= 1e-9 * inf
+    with pytest.raises(ValueError, match="not Q-closed"):
+        bv_localize(EquivariantSurfaceProblem.make(Polynomial([0, 0, 1]), Polynomial([0, -np.inf]), 1, 8))
+
+
+def test_one_gauss_legendre_rule_per_problem(capsys, tmp_path, monkeypatch):
+    grids = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: grids.append(n) or leggauss(n))
+    q_closedness_residual(calibration_problem(1, 64))
+    assert grids == []
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 64}))
+    assert main(["localize", "--problem", str(path), "--t", "0.5", "--t", "1", "--t", "2"]) == OK
+    assert grids == [64]
+    nodes, weights = calibration_problem(1, 8).gauss_legendre
+    assert not nodes.flags.writeable and not weights.flags.writeable

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, OK, main
+from ellgenus import cli
+from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, OK, main
 from ellgenus.qmod import QSeries, eisenstein_q
 
 
@@ -105,6 +106,14 @@ def test_eisenstein_large_k_exits_cleanly(capsys, argv, expected):
     assert "Traceback" not in err
     if expected == INPUT_ERROR:
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: --k 400 at --tau 0,1: ")
+
+
+def test_eisenstein_rejects_a_large_k_before_any_bernoulli_number(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"bernoulli({n}) called")
+
+    monkeypatch.setattr(cli, "bernoulli", refuse)
+    assert f"--k <= {MAX_K}" in assert_input_error(capsys, "eisenstein", "--k", str(MAX_K + 1))
 
 
 def test_eisenstein_rejects_bad_flags(capsys):
@@ -325,6 +334,12 @@ def test_pfaffian_product_rejects_a_non_finite_table(capsys, roots):
     ("eisenstein --k 1 --bound 50 --tau 0,1e-300", "--tau 0,1e-300"),
     ("eisenstein --k 1 --bound 50 --tau 0,1e300", "--tau 0,1e300"),
     ("pfaffian-product --roots 0", "--roots >= 1"),
+    ("pfaffian-product --roots 1 --dim 8 --shells 0", "--shells >= 1"),
+    ("pfaffian-product --roots 2 --dim 8 --shells 0", "--shells >= 1"),
+    ("pfaffian-product --roots 1 --dim 8 --shells -1", "--shells >= 1"),
+    ("pfaffian-product --roots 2 --dim 8 --shells -1", "--shells >= 1"),
+    ("pfaffian-product --roots 1 --dim 8 --exact-shells -1", "--exact-shells >= 0"),
+    ("pfaffian-product --roots 2 --dim 8 --exact-shells -1", "--exact-shells >= 0"),
 ])
 def test_bad_numeric_flags_are_input_errors(capsys, tmp_path, argv, named):
     d = write_descriptor(tmp_path, "d.json", 8, {"1,1": "4", "2": "7"})
