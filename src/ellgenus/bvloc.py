@@ -73,11 +73,17 @@ def parse_poly(text: str) -> np.polynomial.Polynomial:
             if isinstance(node.op, ast.Div):
                 if len(right.trim().coef) > 1:
                     raise ValueError("division only by constants")
+                if right.coef[0] == 0:
+                    raise ValueError("division by zero")
                 return left / right.coef[0]
             return _BINOPS[type(node.op)](left, right)
         raise ValueError(f"unsupported expression node {ast.dump(node)}")
 
-    return walk(ast.parse(text, mode="eval")).trim()
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r} as a polynomial in z") from exc
+    return walk(tree).trim()
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,17 @@ class EquivariantSurfaceProblem:
             raise ValueError("alpha0 and g must be polynomials in z")
         if isinstance(grid, bool) or not isinstance(grid, int) or not 1 <= grid <= MAX_GRID:
             raise ValueError(f"grid must be an integer in [1, {MAX_GRID}], got {grid!r}")
-        return EquivariantSurfaceProblem(alpha0, g, Fraction(s), grid)
+        try:
+            speed = Fraction(s)
+            float(speed)  # a Fraction past the double range raises OverflowError here
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"s must be a number finite in double precision, got {s!r}") from exc
+        return EquivariantSurfaceProblem(alpha0, g, speed, grid)
 
     @staticmethod
     def from_record(rec: dict) -> "EquivariantSurfaceProblem":
         return EquivariantSurfaceProblem.make(
-            rec["alpha0"], rec["g"], Fraction(rec["s"]), rec.get("grid", 256)
+            rec["alpha0"], rec["g"], rec["s"], rec.get("grid", 256)
         )
 
     @staticmethod

@@ -16,6 +16,17 @@ Monomials whose total form degree exceeds the algebra's truncation degree
 vanish, which is what makes every exponential and inverse here a finite
 computation.
 
+Each ``Algebra`` keeps its own monomial table, filled the first time a
+monomial is seen: monomial -> (form degree, odd-generator bitmask), bit i set
+when the odd generator with index i occurs.  The product reads both factors'
+entries once per product and skips a pair before any merge or scalar multiply
+when the degrees sum past the truncation or the masks share a bit (an odd
+generator squared).  The Koszul sign comes from the masks: for each odd
+generator y of the right factor, the odd generators of the left factor above y
+are counted with one popcount.  Pairs are visited in the order of the two
+factors' terms, so every coefficient is summed in the same order whatever is
+skipped, and complex-mode results keep their last digits.
+
 Generators marked invertible (the Bott symbol, the automorphy symbol) may carry
 negative exponents; they must have form degree 0, so truncation is unaffected.
 """
@@ -124,6 +135,7 @@ class Algebra:
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.trunc = int(trunc)
         self._d = {}  # generator index -> Element
+        self._mono_table = {}  # monomial -> (form degree, odd-generator bitmask)
 
     # -- construction -----------------------------------------------------
 
@@ -152,11 +164,24 @@ class Algebra:
 
     # -- monomial helpers ---------------------------------------------------
 
+    def mono_info(self, mono) -> tuple[int, int]:
+        """(form degree, odd-generator bitmask) of a monomial, from this algebra's table."""
+        info = self._mono_table.get(mono)
+        if info is None:
+            degree = mask = 0
+            for i, e in mono:
+                d = self.gens[i].degree
+                degree += e * d
+                if d & 1:
+                    mask |= 1 << i
+            info = self._mono_table[mono] = (degree, mask)
+        return info
+
     def form_degree(self, mono) -> int:
-        return sum(e * self.gens[i].degree for i, e in mono)
+        return self.mono_info(mono)[0]
 
     def parity(self, mono) -> int:
-        return self.form_degree(mono) % 2
+        return self.mono_info(mono)[0] % 2
 
     def _mono_valid(self, mono):
         for i, e in mono:
@@ -166,23 +191,6 @@ class Algebra:
             if e < 0 and not g.invertible:
                 return False
         return self.form_degree(mono) <= self.trunc
-
-    def _mono_mul(self, ma, mb):
-        """(sign, merged monomial) or None when zero / truncated away."""
-        odd_a = [i for i, e in ma if self.gens[i].odd]
-        odd_b = [i for i, e in mb if self.gens[i].odd]
-        if set(odd_a) & set(odd_b):
-            return None  # odd generator squared
-        sign = 1
-        for y in odd_b:
-            sign *= (-1) ** sum(1 for x in odd_a if x > y)
-        merged = dict(ma)
-        for i, e in mb:
-            merged[i] = merged.get(i, 0) + e
-        mono = tuple(sorted((i, e) for i, e in merged.items() if e != 0))
-        if self.form_degree(mono) > self.trunc:
-            return None
-        return sign, mono
 
     # -- element constructors ------------------------------------------------
 
@@ -219,16 +227,20 @@ class Algebra:
 
 
 class Element:
-    """Immutable element of an Algebra in a fixed scalar mode."""
+    """Immutable element of an Algebra in a fixed scalar mode.
+
+    The element takes over ``terms``, a fresh dict of canonical monomials to
+    nonzero scalars that no one else holds, without copying it.
+    """
 
     __slots__ = ("algebra", "mode", "terms")
 
-    def __init__(self, algebra, mode, terms):
+    def __init__(self, algebra, mode, terms: dict):
         if mode not in MODES:
             raise ValueError(f"unknown scalar mode {mode!r}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "terms", dict(terms))
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("Element is immutable")
@@ -313,18 +325,34 @@ class Element:
             return Element(self.algebra, self.mode, {m: v * c for m, v in self.terms.items()})
         other = self._check(other)
         alg = self.algebra
+        info = alg.mono_info
+        right = [(mb, cb) + info(mb) for mb, cb in other.terms.items()]
+        trunc = alg.trunc
         out = {}
         zero = _ZERO[self.mode]
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                hit = alg._mono_mul(ma, mb)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                v = ca * cb
-                if sign < 0:
-                    v = -v
-                s = out.get(mono, zero) + v
+            da, oa = info(ma)
+            room = trunc - da
+            for mb, cb, db, ob in right:
+                if db > room or oa & ob:
+                    continue  # truncated away, or an odd generator squared
+                if not ma:
+                    mono = mb
+                elif not mb:
+                    mono = ma
+                else:
+                    merged = dict(ma)
+                    for i, e in mb:
+                        e += merged.get(i, 0)
+                        if e:
+                            merged[i] = e
+                        else:
+                            del merged[i]  # an invertible generator cancelled
+                    mono = tuple(sorted(merged.items()))
+                if oa and ob and _koszul_odd(oa, ob):
+                    s = out.get(mono, zero) - ca * cb
+                else:
+                    s = out.get(mono, zero) + ca * cb
                 if not s:
                     out.pop(mono, None)
                 else:
@@ -377,6 +405,16 @@ class Element:
 
     def __repr__(self):
         return f"<{self.mode} element: {self.render()}>"
+
+
+def _koszul_odd(odd_a: int, odd_b: int) -> int:
+    """1 when moving b's odd generators past a's to their sorted places is an odd permutation."""
+    swaps = 0
+    while odd_b:
+        low = odd_b & -odd_b
+        swaps += (odd_a & -(low << 1)).bit_count()  # a's odd generators above this one
+        odd_b ^= low
+    return swaps & 1
 
 
 def parse_element(algebra: Algebra, mode, text: str) -> Element:
@@ -479,10 +517,11 @@ def unit_inverse(a: Element) -> Element:
     if not n.is_zero() and n.min_form_degree() < 1:
         raise ZeroDivisionError("non-nilpotent remainder: cannot invert")
     alg = a.algebra
+    neg_n = -n
     out = alg.one(a.mode)
     power = alg.one(a.mode)
     for _ in range(1, alg.trunc + 1):
-        power = power * (-n)
+        power = power * neg_n
         if power.is_zero():
             break
         out = out + power

@@ -20,16 +20,28 @@ from functools import lru_cache
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention), exact."""
+    """Bernoulli number B_n (B_1 = -1/2 convention), exact.
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent number T_k,
+    and T_1..T_k come from the Brent-Harvey recurrence in O(k^2) integer steps.
+    """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if n == 0:
         return Fraction(1)
-    # B_n = -1/(n+1) * sum_{j<n} C(n+1, j) B_j
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    k = n // 2
+    t = [0, 1] + [0] * (k - 1)  # t[j] = T_j once the sweeps are done
+    for j in range(2, k + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    four_k = 4**k
+    return Fraction((-1) ** (k - 1) * 2 * k * t[k], four_k * (four_k - 1))
 
 
 def power(base, e: int, one):

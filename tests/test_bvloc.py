@@ -25,6 +25,12 @@ def test_parse_poly():
         parse_poly("__import__('os')")
     with pytest.raises(ValueError):
         parse_poly("z**z")
+    for text in ("z +", "(", ""):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_poly(text)
+    for text in ("1/0", "z/(z - z)"):
+        with pytest.raises(ValueError, match="division by zero"):
+            parse_poly(text)
 
 
 def test_q_closedness_examples():

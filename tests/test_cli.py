@@ -307,6 +307,45 @@ def test_localize_rejects_a_t_that_overflows(capsys, tmp_path, t):
     assert f"t = {float(t)!r}" in err and "not finite" in err
 
 
+@pytest.mark.parametrize("s", ["1e400", "-1e400", "nan", float("inf")])
+def test_localize_rejects_an_s_outside_the_double_range(capsys, tmp_path, s):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alpha0": "z", "g": "-1e-400", "s": s, "grid": 8}))
+    err = assert_input_error(capsys, "localize", "--problem", str(path))
+    assert "s must be a number finite in double precision" in err
+
+
+@pytest.mark.parametrize("field", ["alpha0", "g"])
+def test_localize_rejects_a_polynomial_that_does_not_parse(capsys, tmp_path, field):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 8, field: "z +"}))
+    assert "cannot parse 'z +'" in assert_input_error(capsys, "localize", "--problem", str(path))
+
+
+# Valid flags at the edges of their ranges: small and odd dimensions, zero roots,
+# and a tau that over- or underflows.  Each run must end in a documented exit code.
+EDGE_RUNS = [
+    f"{command} --roots {roots} --dim {dim}{extra}"
+    for command, extra in (
+        ("witten-class", ""),
+        ("anomaly", " --q-order 2"),
+        ("pfaffian-product", " --shells 2 --exact-shells 1"),
+    )
+    for roots in range(3)
+    for dim in (0, 2, 4, 6, 8)
+] + [
+    f"pfaffian-product --roots {roots} --shells 2 --tau={tau}"
+    for roots in range(3)
+    for tau in ("0,1e-300", "0,1e300", "1e300,1", "nan,1", "0,inf")
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_RUNS)
+def test_edge_flags_end_in_a_documented_exit_code(capsys, argv):
+    assert main(argv.split()) in (OK, INPUT_ERROR, IDENTITY_FAILURE)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("roots", ["1", "2"])
 def test_pfaffian_product_rejects_a_non_finite_table(capsys, roots):

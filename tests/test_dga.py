@@ -360,3 +360,174 @@ def test_pi_to_complex_convert_is_per_coefficient_to_complex():
     alg = make_algebra()
     el = sample_element(alg, dga.PI) + alg.gen("x2", dga.PI) * QI(Fraction(-1, 3), Fraction(5, 7))
     assert el.convert(dga.COMPLEX).terms == {m: c.to_complex() for m, c in el.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# The product kernel against the monomial-by-monomial oracle
+
+
+def _mono_mul(alg, ma, mb):
+    """(sign, merged monomial) or None when zero / truncated away: the direct route."""
+    odd_a = [i for i, e in ma if alg.gens[i].odd]
+    odd_b = [i for i, e in mb if alg.gens[i].odd]
+    if set(odd_a) & set(odd_b):
+        return None  # odd generator squared
+    sign = 1
+    for y in odd_b:
+        sign *= (-1) ** sum(1 for x in odd_a if x > y)
+    merged = dict(ma)
+    for i, e in mb:
+        merged[i] = merged.get(i, 0) + e
+    mono = tuple(sorted((i, e) for i, e in merged.items() if e != 0))
+    if alg.form_degree(mono) > alg.trunc:
+        return None
+    return sign, mono
+
+
+def _oracle_product(a, b):
+    """a * b summed pair by pair from the oracle, in the order of the two factors' terms."""
+    out = {}
+    zero = dga._ZERO[a.mode]
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            hit = _mono_mul(a.algebra, ma, mb)
+            if hit is None:
+                continue
+            sign, mono = hit
+            v = ca * cb
+            if sign < 0:
+                v = -v
+            s = out.get(mono, zero) + v
+            if not s:
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return out
+
+
+def kernel_algebra(trunc=9):
+    """Odd generators of degrees 1 and 3 interleaved with even and invertible ones."""
+    return Algebra(
+        [
+            Generator("a", 1), Generator("b", 0, invertible=True), Generator("c", 3),
+            Generator("d", 2), Generator("e", 1), Generator("f", 0, invertible=True),
+            Generator("g", 3), Generator("h", 4), Generator("k", 1),
+        ],
+        trunc=trunc,
+    )
+
+
+def random_monomial(alg, rng):
+    """A canonical monomial of form degree <= trunc; invertible exponents may be negative."""
+    while True:
+        mono = []
+        for i in sorted(rng.sample(range(len(alg.gens)), rng.randint(0, 4))):
+            g = alg.gens[i]
+            e = 1 if g.odd else rng.choice([-2, -1, 1, 2]) if g.invertible else rng.randint(1, 2)
+            mono.append((i, e))
+        mono = tuple(mono)
+        if alg.form_degree(mono) <= alg.trunc:
+            return mono
+
+
+def test_product_matches_the_oracle_on_random_monomials():
+    alg = kernel_algebra()
+    rng = Random(20240611)
+    seen = {"kept": 0, "dropped": 0, "negative": 0, "cancelled": 0}
+    for _ in range(3000):
+        ma, mb = random_monomial(alg, rng), random_monomial(alg, rng)
+        got = alg.element({ma: 1}) * alg.element({mb: 1})
+        hit = _mono_mul(alg, ma, mb)
+        if hit is None:
+            seen["dropped"] += 1
+            assert got.is_zero()
+            continue
+        sign, mono = hit
+        assert got.terms == {mono: Fraction(sign)}
+        seen["kept"] += 1
+        seen["negative"] += sign < 0
+        seen["cancelled"] += any(i not in dict(mono) for i, _ in ma + mb)
+    assert min(seen.values()) > 20, seen  # every branch of the kernel was exercised
+
+
+def test_koszul_sign_at_every_pair_of_odd_positions():
+    alg = kernel_algebra(trunc=12)
+    odd = [g.name for g in alg.gens if g.odd]
+    for x in odd:
+        for y in odd:
+            gx, gy = alg.gen(x), alg.gen(y)
+            if x == y:
+                assert (gx * gy).is_zero()
+                continue
+            ((mono, c),) = (gx * gy).terms.items()
+            assert (c, mono) == _mono_mul(alg, ((alg.index[x], 1),), ((alg.index[y], 1),))
+            assert c == (1 if x < y else -1)
+            assert gx * gy == -(gy * gx)
+    # several odd generators on each side: (sorted factor) * (sorted factor) -> sign
+    acg = alg.gen("a") * alg.gen("c") * alg.gen("g")  # indices 0, 2, 6
+    for right, sign in (("e", -1), ("k", 1), ("ek", -1)):
+        factor = alg.one()
+        for name in right:
+            factor = factor * alg.gen(name)
+        (c,) = (acg * factor).terms.values()
+        assert c == sign
+    (c,) = (alg.gen("e") * acg).terms.values()
+    assert c == 1  # e passes a and c
+
+
+def test_invertible_exponents_cancel_to_the_empty_monomial():
+    alg = kernel_algebra()
+    b, f, d = alg.gen("b"), alg.gen("f"), alg.gen("d")
+    assert (b**2 * f) * (b**-2 * f**-1) == alg.one()
+    assert (b**2 * d) * b**-2 == d
+    prod = (b**-1 * f**2) * (b * f**-1 * d)
+    assert prod.terms == {((alg.index["d"], 1), (alg.index["f"], 1)): 1}
+
+
+def test_degree_exactly_trunc_is_kept_and_trunc_plus_one_dropped():
+    alg = kernel_algebra(trunc=9)
+    h, d, c, k = (alg.gen(n) for n in "hdck")
+    assert alg.form_degree(next(iter((h * d * c).terms))) == 9
+    assert not ((h * d) * c).is_zero()  # 6 + 3 = 9
+    assert ((h * d) * (c * k)).is_zero()  # 6 + 4 = 10
+    assert not ((h * h) * (k * alg.gen("b", power=-1))).is_zero()  # 8 + 1, a degree-0 factor
+    assert ((h * h) * (d * alg.gen("f"))).is_zero()  # 8 + 2
+
+
+def random_scalar(rng, mode):
+    def q():
+        return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+
+    return {
+        dga.RATIONAL: q,
+        dga.PI: lambda: PiScalar.pi_power(rng.randint(-2, 2), QI(q(), q())),
+        dga.QSERIES: lambda: QSeries(2, {0: q(), 1: q(), 3: q()}, 4),
+        dga.COMPLEX: lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+    }[mode]()
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_element_product_equals_the_oracle_sum_in_every_mode(mode):
+    """Same terms, same coefficients, same insertion order: complex floats compare with ==."""
+    alg = make_algebra(trunc=8)
+    rng = Random(f"kernel:{mode}")
+    for _ in range(40):
+        a, b = (
+            dga.Element(alg, mode, {random_monomial(alg, rng): random_scalar(rng, mode)
+                                    for _ in range(rng.randint(1, 12))})
+            for _ in range(2)
+        )
+        assert list((a * b).terms.items()) == list(_oracle_product(a, b).items())
+
+
+def test_monomial_table_belongs_to_its_algebra():
+    low, high = kernel_algebra(trunc=4), kernel_algebra(trunc=9)
+    assert low._mono_table is not high._mono_table
+    hd = ((high.index["d"], 1), (high.index["h"], 1))
+    assert (low.gen("d") * low.gen("h")).is_zero()  # 6 > 4
+    assert (high.gen("d") * high.gen("h")).terms == {hd: 1}
+    assert high.mono_info(hd) == (6, 0)
+    assert hd in high._mono_table and hd not in low._mono_table
+    ac = ((high.index["a"], 1), (high.index["c"], 1))
+    assert high.mono_info(ac) == (4, 0b101)  # a and c are odd generators 0 and 2
+    assert ac not in low._mono_table

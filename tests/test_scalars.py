@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,26 @@ def test_bernoulli_values():
     assert bernoulli(8) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(3) == 0 and bernoulli(7) == 0
+
+
+def bernoulli_by_recursion(limit: int) -> list:
+    """B_0..B_limit from B_n = -1/(n+1) sum_{j<n} C(n+1, j) B_j, the direct route."""
+    out = []
+    for n in range(limit + 1):
+        acc = sum((math.comb(n + 1, j) * b for j, b in enumerate(out)), Fraction(0))
+        out.append(Fraction(1) if n == 0 else -acc / (n + 1))
+    return out
+
+
+def test_bernoulli_matches_the_recursion_up_to_200():
+    for n, expected in enumerate(bernoulli_by_recursion(200)):
+        got = bernoulli(n)
+        assert got == expected and type(got) is Fraction, n
+
+
+def test_bernoulli_rejects_a_negative_index():
+    with pytest.raises(ValueError):
+        bernoulli(-1)
 
 
 def test_zeta_even_rational_part():
