@@ -80,10 +80,21 @@ def parse_poly(text: str) -> np.polynomial.Polynomial:
         raise ValueError(f"unsupported expression node {ast.dump(node)}")
 
     try:
-        tree = ast.parse(text, mode="eval")
+        return walk(ast.parse(text, mode="eval")).trim()
     except SyntaxError as exc:
         raise ValueError(f"cannot parse {text!r} as a polynomial in z") from exc
-    return walk(tree).trim()
+    except (MemoryError, RecursionError) as exc:  # the parser's or walk's stack ran out
+        raise ValueError(f"expression of {len(text)} characters is nested too deeply") from exc
+
+
+def _parse_field(name: str, value):
+    """parse_poly for a problem field given as text, its errors prefixed by the field."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return parse_poly(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -97,10 +108,7 @@ class EquivariantSurfaceProblem:
 
     @staticmethod
     def make(alpha0, g, s, grid=256) -> "EquivariantSurfaceProblem":
-        if isinstance(alpha0, str):
-            alpha0 = parse_poly(alpha0)
-        if isinstance(g, str):
-            g = parse_poly(g)
+        alpha0, g = _parse_field("alpha0", alpha0), _parse_field("g", g)
         if not all(isinstance(p, np.polynomial.Polynomial) for p in (alpha0, g)):
             raise ValueError("alpha0 and g must be polynomials in z")
         if isinstance(grid, bool) or not isinstance(grid, int) or not 1 <= grid <= MAX_GRID:

@@ -240,7 +240,7 @@ def _cmd_eisenstein(args, report: Report) -> int:
         try:
             lattice = eisenstein_lattice(args.k, tau, args.bound)
             residuals = [
-                (name, abs(transform_residual(args.k, gamma, tau, args.bound)))
+                (name, abs(transform_residual(args.k, gamma, tau, args.bound, lattice)))
                 for name, gamma in (("T", GAMMA_T), ("S", GAMMA_S))
             ]
             # consistency: lattice / (2 zeta(2k)) vs the series at q = e^{2 pi i tau},

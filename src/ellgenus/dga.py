@@ -513,6 +513,10 @@ def unit_inverse(a: Element) -> Element:
     if not c:
         raise ZeroDivisionError("no unit part")
     cinv = MODES[a.mode].inverse(c)
+    # c alone: the series below is 1, so its value is 1 * cinv, which can differ
+    # from cinv itself in a signed zero or a nan part
+    if len(a.terms) == 1:
+        return Element(a.algebra, a.mode, {(): MODES[a.mode].make(1) * cinv})
     n = (a - a.algebra.scalar(c, a.mode)) * cinv
     if not n.is_zero() and n.min_form_degree() < 1:
         raise ZeroDivisionError("non-nilpotent remainder: cannot invert")

@@ -66,11 +66,15 @@ def _check_skew(matrix):
 
 
 def _is_unit(el: Element) -> bool:
+    """Invertible scalar part c, and every other monomial of form degree >= 1.
+
+    A nan or infinite complex c is no unit: c - c does not vanish.
+    """
     c = el.unit_part()
-    if not (c.is_unit() if el.mode == dga.PI else c):
+    if not (c.is_unit() if el.mode == dga.PI else c) or c - c:
         return False
-    rest = el - el.algebra.scalar(c, el.mode)
-    return rest.is_zero() or rest.min_form_degree() >= 1
+    degree = el.algebra.form_degree
+    return all(degree(mono) >= 1 for mono in el.terms if mono)
 
 
 def pfaffian(matrix) -> Element:
@@ -107,6 +111,12 @@ def _pf_matchings(matrix, idx) -> Element:
 
 
 def _pf_eliminate(m, context=None) -> Element:
+    """Skew elimination on the unit pivot m[0][1]: Pf(m) = p Pf(S), with the Schur
+    complement S_ij = m_ij - (m_0i m_1j - m_0j m_1i) / p over rows and columns >= 2.
+
+    A correction whose two products both have a zero factor is skipped (S_ij is
+    m_ij itself), and 1 / p is formed only when some correction survives.
+    """
     n = len(m)
     if n == 0:
         alg, mode = context
@@ -131,14 +141,20 @@ def _pf_eliminate(m, context=None) -> Element:
         result = _pf_eliminate(m)
         return -result if flips % 2 else result
     p = m[0][1]
-    pinv = unit_inverse(p)
-    sub = [
-        [
-            m[i][j] - (m[0][i] * m[1][j] - m[0][j] * m[1][i]) * pinv
-            for j in range(2, n)
-        ]
-        for i in range(2, n)
-    ]
+    pinv = None
+    zero0 = [e.is_zero() for e in m[0]]
+    zero1 = [e.is_zero() for e in m[1]]
+    sub = []
+    for i in range(2, n):
+        row = []
+        for j in range(2, n):
+            if (zero0[i] or zero1[j]) and (zero0[j] or zero1[i]):
+                row.append(m[i][j])
+                continue
+            if pinv is None:
+                pinv = unit_inverse(p)
+            row.append(m[i][j] - (m[0][i] * m[1][j] - m[0][j] * m[1][i]) * pinv)
+        sub.append(row)
     return p * _pf_eliminate(sub, (alg, mode))
 
 
@@ -149,7 +165,13 @@ def _swap_rowcol(m, a, b):
 
 
 def determinant(matrix) -> Element:
-    """Determinant via elimination on unit pivots, Laplace fallback otherwise."""
+    """Determinant via elimination on unit pivots, Laplace fallback otherwise.
+
+    Each pivot's inverse is formed only when a row below has a nonzero entry in
+    the pivot column, and a row update touches only the columns right of the
+    pivot where the pivot row is nonzero: the entries left of the pivot are
+    never read again, and the fallback takes the minor right of it.
+    """
     n = len(matrix)
     alg = matrix[0][0].algebra
     mode = matrix[0][0].mode
@@ -166,13 +188,18 @@ def determinant(matrix) -> Element:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             det = -det
         p = m[col][col]
-        pinv = unit_inverse(p)
         det = det * p
+        pinv = None
+        live = [j for j in range(col + 1, n) if not m[col][j].is_zero()]
         for r in range(col + 1, n):
             if m[r][col].is_zero():
                 continue
+            if pinv is None:
+                pinv = unit_inverse(p)
             f = m[r][col] * pinv
-            m[r] = [m[r][j] - f * m[col][j] for j in range(n)]
+            row = m[r]
+            for j in live:
+                row[j] = row[j] - f * m[col][j]
     return det
 
 

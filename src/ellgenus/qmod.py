@@ -507,14 +507,20 @@ def eisenstein_lattice(k: int, tau: complex, bound: int) -> complex:
     return lattice_partial_sum(2 * k, tau, ROWMAJOR, bound)
 
 
-def transform_residual(k: int, gamma: GammaElement, tau: complex, bound: int) -> complex:
+def transform_residual(k: int, gamma: GammaElement, tau: complex, bound: int,
+                       value: complex | None = None) -> complex:
     """(left - right) / max(1, |left|, |right|), left = E(gamma tau) and
-    right = (c tau + d)^{2k} E(tau) + anomaly, anomaly = -2 pi i c (c tau + d) for k = 1."""
+    right = (c tau + d)^{2k} E(tau) + anomaly, anomaly = -2 pi i c (c tau + d) for k = 1.
+
+    value is E(tau) = eisenstein_lattice(k, tau, bound) when the caller has it
+    already; it is summed here otherwise."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     j = gamma.automorphy(tau)
     left = eisenstein_lattice(k, gamma.apply(tau), bound)
-    right = j ** (2 * k) * eisenstein_lattice(k, tau, bound)
+    if value is None:
+        value = eisenstein_lattice(k, tau, bound)
+    right = j ** (2 * k) * value
     if k == 1:
         right += -2j * math.pi * gamma.c * j
     return (left - right) / max(1.0, abs(left), abs(right))

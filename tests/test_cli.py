@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from ellgenus import cli
+from ellgenus import cli, dga, qmod
 from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, OK, main
+from ellgenus.geom import ChernRootModel
+from ellgenus.pfaff import regularized_product
 from ellgenus.qmod import QSeries, eisenstein_q
+
+qmod_eisenstein_lattice = qmod.eisenstein_lattice
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +120,32 @@ def test_eisenstein_rejects_a_large_k_before_any_bernoulli_number(capsys, monkey
     assert f"--k <= {MAX_K}" in assert_input_error(capsys, "eisenstein", "--k", str(MAX_K + 1))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_eisenstein_sums_e_tau_once(capsys, monkeypatch, k):
+    """E(tau), E(tau + 1) and E(-1/tau): three lattice sums, E(tau) shared by
+    the lattice record and both transform residuals."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return qmod_eisenstein_lattice(*args)
+
+    monkeypatch.setattr(qmod, "eisenstein_lattice", counted)
+    monkeypatch.setattr(cli, "eisenstein_lattice", counted)
+    status, _ = run_cli(capsys, "eisenstein", "--k", str(k), "--tau=-0.3,1.2", "--bound", "64")
+    assert status == OK
+    assert len(calls) == 3 and len(set(calls)) == 3
+
+
+@pytest.mark.parametrize("gamma", [qmod.GAMMA_T, qmod.GAMMA_S])
+def test_transform_residual_with_a_given_value_is_the_same(gamma):
+    tau = -0.3 + 1.2j
+    for k in (1, 2, 3):
+        value = qmod_eisenstein_lattice(k, tau, 64)
+        assert qmod.transform_residual(k, gamma, tau, 64, value) == qmod.transform_residual(
+            k, gamma, tau, 64)
+
+
 def test_eisenstein_rejects_bad_flags(capsys):
     assert main(["eisenstein", "--k", "0"]) == INPUT_ERROR
     assert main(["eisenstein", "--k", "2", "--tau", "0,-1"]) == INPUT_ERROR
@@ -178,6 +208,22 @@ def test_pfaffian_product_table(capsys, roots):
     for row in conv:  # float() parses a plain repr, never "np.float64(...)"
         for value in row["beta2_coefficient"] + [row["drift"]]:
             float(value)
+
+
+# The per-block loop for r > 1 against the closed form r = 1 uses: the equality
+# a closed-form table for every r would rest on.
+@pytest.mark.parametrize("tau", [2j, -0.3 + 1.2j])
+@pytest.mark.parametrize("r", [2, 3])
+def test_per_block_table_equals_the_closed_form(r, tau):
+    model = ChernRootModel(r, 4 * r)
+    bounds = cli._table_bounds(16)
+    table = list(cli._product_table(model, bounds, tau))
+    assert [bound for bound, _ in table] == bounds == [1, 2, 4, 8, 16]
+    for bound, value in table:
+        closed = regularized_product(model, bound, tau, dga.COMPLEX, verify_routes=False)
+        assert set(value.terms) == set(closed.terms)
+        for mono, c in closed.terms.items():
+            assert abs(value.terms[mono] - c) <= 1e-12 * max(abs(value.terms[mono]), abs(c))
 
 
 def test_anomaly_verdict(capsys):
@@ -319,7 +365,21 @@ def test_localize_rejects_an_s_outside_the_double_range(capsys, tmp_path, s):
 def test_localize_rejects_a_polynomial_that_does_not_parse(capsys, tmp_path, field):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 8, field: "z +"}))
-    assert "cannot parse 'z +'" in assert_input_error(capsys, "localize", "--problem", str(path))
+    err = assert_input_error(capsys, "localize", "--problem", str(path))
+    assert err.startswith(f"error: {field}: cannot parse 'z +'")
+
+
+# Nesting past the parser's stack (MemoryError), past the recursion limit while
+# the tree is built, or past it while the tree is walked (both RecursionError).
+@pytest.mark.parametrize("text", ["-" * 20000 + "z", "z" + "*z" * 5000, "-" * 1000 + "z"],
+                         ids=["20000-signs", "5000-products", "1000-signs"])
+@pytest.mark.parametrize("field", ["alpha0", "g"])
+def test_localize_rejects_a_polynomial_nested_too_deeply(capsys, tmp_path, field, text):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 8, field: text}))
+    err = assert_input_error(capsys, "localize", "--problem", str(path))
+    assert err.startswith(f"error: {field}: ")
+    assert "nested too deeply" in err or "cannot parse" in err
 
 
 # Valid flags at the edges of their ranges: small and odd dimensions, zero roots,

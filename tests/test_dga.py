@@ -531,3 +531,28 @@ def test_monomial_table_belongs_to_its_algebra():
     ac = ((high.index["a"], 1), (high.index["c"], 1))
     assert high.mono_info(ac) == (4, 0b101)  # a and c are odd generators 0 and 2
     assert ac not in low._mono_table
+
+
+# Complex scalars whose inverse carries a signed zero, an infinity or an
+# underflow: there 1 * cinv differs from cinv in its bits, so the scalar-only
+# path of unit_inverse must still return 1 * cinv, as the series does.
+EDGE_COMPLEX_UNITS = [1e300 + 1j, -1 + 1e300j, 5e-324 + 0j, 5e-324 + 5e-324j, 2 + 0j, -0.5j]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_unit_inverse_of_a_scalar_matches_the_series(series_unit_inverse, mode):
+    """Same terms and digits as the geometric series, scalar or not."""
+    alg = make_algebra(trunc=8)
+    rng = Random(f"unit-inverse:{mode}")
+    compact = dga.MODES[mode].compact
+    values = [random_scalar(rng, mode) for _ in range(20)]
+    if mode == dga.QSERIES:  # weight 0, as the nilpotents' coefficients are
+        values = [QSeries(0, c.coeffs, c.order) for c in values]
+    if mode == dga.COMPLEX:
+        values += EDGE_COMPLEX_UNITS
+    for c in values:
+        nilpotent = random_element(alg, rng, mode, even_only=True, positive_degree=True)
+        for a in (alg.scalar(c, mode), alg.scalar(c, mode) + nilpotent):
+            got, expect = unit_inverse(a), series_unit_inverse(a)
+            assert [(m, compact(v)) for m, v in got.terms.items()] == [
+                (m, compact(v)) for m, v in expect.terms.items()]

@@ -12,12 +12,14 @@ from ellgenus.geom import ChernRootModel
 from ellgenus.pfaff import (
     BlockIndex,
     _paired_skew_block,
+    _pf_eliminate,
     _zero_block_pfaffian,
     a_hat_class,
     a_hat_mode_matrix,
     a_hat_product,
     block_norm_pfaffian,
     determinant,
+    normalized_block_matrix,
     pfaffian,
     product_exponential_form,
     regularized_product,
@@ -403,3 +405,177 @@ def test_a_hat_class_is_bernoulli_exponential():
     for k in (1, 2):
         arg = arg + x ** (2 * k) * (Fraction(-1, 2 * k * math.factorial(2 * k)) * bernoulli(2 * k))
     assert a_hat_class(m) == dga.exp_nilpotent(arg)
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination kernels against their dense oracles (tests/conftest.py):
+# the same terms in the same insertion order, complex digits included.
+
+# t and u odd of degree 1, x and y even of degree 2, z even of degree 0; random
+# entries use even monomials of positive degree
+ELIM_ALG = Algebra(
+    [Generator("t", 1), Generator("u", 1), Generator("x", 2), Generator("y", 2),
+     Generator("z", 0)], trunc=4
+)
+T, U, X, Y, Z = range(5)
+EVEN_NILPOTENTS = [
+    ((X, 1),), ((Y, 1),), ((X, 2),), ((X, 1), (Y, 1)), ((Y, 2),),
+    ((T, 1), (U, 1)), ((T, 1), (U, 1), (X, 1)),
+]
+
+
+def _rand_scalar(rng, mode):
+    if mode == dga.COMPLEX:
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return dga.coerce(mode, QI(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
+                               Fraction(rng.randint(-2, 2), 2)))
+
+
+def _rand_entry(rng, mode, kind):
+    """An entry that is zero, nilpotent, a unit (scalar plus nilpotent) or a scalar."""
+    if kind == "zero":
+        return ELIM_ALG.zero(mode)
+    terms = {}
+    if kind in ("unit", "scalar"):
+        terms[()] = _rand_scalar(rng, mode)
+    if kind in ("unit", "nil"):
+        for mono in rng.sample(EVEN_NILPOTENTS, rng.randint(1, 3)):
+            terms[mono] = _rand_scalar(rng, mode)
+    return ELIM_ALG.element(terms, mode)
+
+
+def _rand_kind(rng, weights):
+    return rng.choices(("zero", "nil", "unit", "scalar"), weights)[0]
+
+
+def _dense_matrix(rng, mode, n, weights=(2, 2, 3, 1)):
+    return [[_rand_entry(rng, mode, _rand_kind(rng, weights)) for _ in range(n)]
+            for _ in range(n)]
+
+
+def _block_diagonal_matrix(rng, mode, n):
+    """[[1 + a, e], [-e, 1 + b]] blocks down the diagonal (and a 1 last for odd n),
+    zeros elsewhere."""
+    m = [[ELIM_ALG.zero(mode) for _ in range(n)] for _ in range(n)]
+    m[-1][-1] = ELIM_ALG.one(mode)
+    for k in range(0, n - 1, 2):
+        e = _rand_entry(rng, mode, "nil")
+        m[k][k] = ELIM_ALG.one(mode) + _rand_entry(rng, mode, rng.choice(("zero", "nil")))
+        m[k + 1][k + 1] = ELIM_ALG.one(mode) + _rand_entry(rng, mode, rng.choice(("zero", "nil")))
+        m[k][k + 1], m[k + 1][k] = e, -e
+    return m
+
+
+def _skew(mode, n, entry):
+    m = [[ELIM_ALG.zero(mode) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = entry(i, j)
+            m[j][i] = -m[i][j]
+    return m
+
+
+def _skew_matrix(rng, mode, n, shape):
+    if shape == "dense":
+        return _skew(mode, n, lambda i, j: _rand_entry(rng, mode, _rand_kind(rng, (2, 2, 3, 1))))
+    if shape == "block-diagonal":  # the paired blocks' pattern: units on a band
+        return _skew(mode, n, lambda i, j: _rand_entry(
+            rng, mode, "unit" if j - i == 1 and i % 2 == 0 else rng.choice(("zero", "zero", "nil"))))
+    if shape == "swap":  # no unit at (0, 1): the pivot search swaps rows and columns
+        m = _skew(mode, n, lambda i, j: _rand_entry(rng, mode, _rand_kind(rng, (2, 2, 3, 1))))
+        m[0][1] = _rand_entry(rng, mode, "nil")
+        m[1][0] = -m[0][1]
+        return m
+    assert shape == "no-unit"  # every entry nilpotent: the matching expansion
+    return _skew(mode, n, lambda i, j: _rand_entry(rng, mode, rng.choice(("zero", "nil"))))
+
+
+def _items(el):
+    compact = dga.MODES[el.mode].compact
+    return [(mono, compact(c)) for mono, c in el.terms.items()]
+
+
+MATRIX_SHAPES = ["dense", "block-diagonal", "swap", "no-unit", "late-fallback"]
+
+
+def _det_matrix(rng, mode, n, shape):
+    if shape == "dense":
+        return _dense_matrix(rng, mode, n)
+    if shape == "block-diagonal":
+        return _block_diagonal_matrix(rng, mode, n)
+    if shape == "swap":  # a nilpotent at (0, 0) over a unit at (1, 0): a row swap
+        m = _dense_matrix(rng, mode, n)
+        m[0][0] = _rand_entry(rng, mode, "nil")
+        m[1][0] = _rand_entry(rng, mode, "unit")
+        return m
+    if shape == "no-unit":  # the Laplace fallback from the first column
+        return _dense_matrix(rng, mode, n, weights=(1, 3, 0, 0))
+    assert shape == "late-fallback"  # one unit pivot, then the Laplace fallback
+    m = _dense_matrix(rng, mode, n, weights=(1, 3, 0, 0))
+    m[0][0] = _rand_entry(rng, mode, "unit")
+    return m
+
+
+@pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
+@pytest.mark.parametrize("shape", MATRIX_SHAPES)
+def test_determinant_matches_the_dense_oracle(dense_determinant, mode, shape):
+    rng = Random(f"det-{shape}-{mode}")
+    for n in (2, 4, 5, 6):
+        for _ in range(3):
+            m = _det_matrix(rng, mode, n, shape)
+            before = [_items(e) for row in m for e in row]
+            assert _items(determinant(m)) == _items(dense_determinant(m))
+            assert [_items(e) for row in m for e in row] == before  # input untouched
+
+
+@pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
+@pytest.mark.parametrize("shape", ["dense", "block-diagonal", "swap", "no-unit"])
+def test_skew_elimination_matches_the_dense_oracle(dense_pf_eliminate, mode, shape):
+    rng = Random(f"pf-{shape}-{mode}")
+    for n in (4, 6, 10, 12):
+        m = _skew_matrix(rng, mode, n, shape)
+        # above size 8 pfaffian itself takes the elimination path
+        new = pfaffian(m) if n > 8 else _pf_eliminate([row[:] for row in m])
+        assert _items(new) == _items(dense_pf_eliminate(m))
+
+
+@pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
+@pytest.mark.parametrize("r", [2, 3])
+def test_block_kernels_match_the_dense_oracles(dense_determinant, dense_pf_eliminate, mode, r):
+    model = ChernRootModel(r, 4 * r)
+    tau = QI(Fraction(-3, 10), Fraction(6, 5))
+    if mode == dga.COMPLEX:
+        tau = tau.to_complex()
+    for idx in ((1, 0), (0, -1), (2, -3)):
+        block = normalized_block_matrix(idx, model, tau, mode)
+        assert _items(determinant(block)) == _items(dense_determinant(block))
+        paired = _paired_skew_block(idx, model, tau, mode)
+        assert _items(_pf_eliminate([row[:] for row in paired])) == _items(
+            dense_pf_eliminate(paired))
+
+
+# Entries with an invertible-looking scalar part that are no units: a nan or
+# infinite scalar part (c - c does not vanish), and a degree-0 generator beside it.
+NON_UNITS = [
+    ({(): complex("nan"), ((X, 1),): 1.5}, dga.COMPLEX),
+    ({(): complex(float("inf"), 1), ((X, 1),): 1.5}, dga.COMPLEX),
+    ({(): complex(2, float("-inf"))}, dga.COMPLEX),
+    ({(): 2, ((Z, 1),): 1}, dga.COMPLEX),
+    ({(): 2, ((Z, 1),): 1}, dga.PI),
+]
+
+
+@pytest.mark.parametrize("terms,mode", NON_UNITS)
+def test_non_units_are_no_pivots(dense_determinant, dense_pf_eliminate, terms, mode):
+    """The pivot searches pass over them, as in the dense kernels."""
+    rng = Random(f"non-unit-{terms}-{mode}")
+    bad = ELIM_ALG.element(terms, mode)
+    for n in (3, 4, 5):
+        m = _dense_matrix(rng, mode, n)
+        m[0][0] = bad
+        m[1][0] = _rand_entry(rng, mode, "unit")
+        assert _items(determinant(m)) == _items(dense_determinant(m))
+    for n in (4, 10):
+        m = _skew_matrix(rng, mode, n, "dense")
+        m[0][1], m[1][0] = bad, -bad  # nan + -nan is nan: skew to no one but the kernels
+        assert _items(_pf_eliminate([row[:] for row in m])) == _items(dense_pf_eliminate(m))
