@@ -91,6 +91,9 @@ def _parse_tau(text: str) -> complex:
 # largest eisenstein --k: B_2k takes a quadratic number of exact Fraction steps,
 # and B_800 alone takes about 5 s
 MAX_K = 400
+# largest q-series order read from a flag or a file: decompose's exact solve and
+# the genus's series products are quadratic in it, about 2-3 s at 512
+MAX_Q_ORDER = 512
 MIN_SERIES_ORDER = 30  # least q-series order of the eisenstein consistency check
 MAX_SERIES_ORDER = 8192  # its cap; k = 1 and k = 2 stay under it at every row-major tau
 
@@ -125,8 +128,8 @@ def _check_tolerance(tol: float) -> None:
 
 
 def _check_q_order(q_order: int) -> None:
-    if q_order < 1:
-        raise ValueError("need --q-order >= 1")
+    if not 1 <= q_order <= MAX_Q_ORDER:
+        raise ValueError(f"need --q-order >= 1 and --q-order <= {MAX_Q_ORDER}, got {q_order}")
 
 
 def _tau_exact(text: str) -> QI:
@@ -321,6 +324,8 @@ def _cmd_genus(args, report: Report) -> int:
 
 def _cmd_decompose(args, report: Report) -> int:
     series = _read_record(args.series, QSeries.from_record)
+    if series.order is not None and series.order > MAX_Q_ORDER:
+        raise ValueError(f"{args.series}: order {series.order} exceeds {MAX_Q_ORDER}")
     _config_record(report, args, series=args.series, weight=series.weight, order=series.order)
     try:
         dec = quasi_modular_decompose(series)

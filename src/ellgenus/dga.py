@@ -270,13 +270,6 @@ class Element:
             return self.algebra.trunc + 1
         return min(self.algebra.form_degree(m) for m in self.terms)
 
-    def homogeneous_part(self, degree: int) -> "Element":
-        alg = self.algebra
-        return Element(
-            alg, self.mode,
-            {m: c for m, c in self.terms.items() if alg.form_degree(m) == degree},
-        )
-
     def is_even(self) -> bool:
         return all(self.algebra.parity(m) == 0 for m in self.terms)
 

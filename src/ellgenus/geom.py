@@ -27,6 +27,9 @@ from .scalars import QI, PiScalar
 class MissingNumber(KeyError):
     """A top-degree Pontryagin monomial has no stored number."""
 
+    def __str__(self):  # the message itself, not KeyError's repr of it
+        return Exception.__str__(self)
+
 
 def eisenstein_symbols(dim: int) -> list[Generator]:
     """Formal normalized Eisenstein symbols E2, E4, .. up to weight dim/2."""
@@ -225,6 +228,8 @@ class ManifoldDescriptor:
             part = _canonical_partition(part)
             if sum(part) != dim // 4:
                 raise ValueError(f"partition {part} does not sum to {dim // 4}")
+            if part and part[-1] < 1:
+                raise ValueError(f"partition {part} has a part below 1")
             clean[part] = Fraction(value) if not isinstance(value, Fraction) else value
         self.pontryagin_numbers = clean
 

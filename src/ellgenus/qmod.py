@@ -530,6 +530,14 @@ def transform_residual(k: int, gamma: GammaElement, tau: complex, bound: int,
 # Quasi-modular decomposition
 
 
+def weight_monomial_count(weight: int) -> int:
+    """len(weight_monomials(weight)) without listing them: the partitions of
+    weight/2 into parts 1, 2, 3 number round((weight/2 + 3)^2 / 12)."""
+    if weight < 0 or weight % 2:
+        return 0
+    return ((weight // 2 + 3) ** 2 + 6) // 12
+
+
 def weight_monomials(weight: int) -> list[tuple[int, int, int]]:
     """Exponent triples (a, b, c) with 2a + 4b + 6c = weight, ordered."""
     out = []
@@ -583,11 +591,12 @@ def quasi_modular_decompose(f: QSeries) -> QuasiModularDecomposition:
         return QuasiModularDecomposition(w, {})
     if w < 0 or w % 2:
         raise NoDecomposition(f"no quasi-modular forms of weight {w}")
-    monos = weight_monomials(w)
     if f.order is None:
         raise NoDecomposition("need a truncated series with a definite order")
-    if f.order < len(monos) + 2:
-        raise ValueError(f"order {f.order} too small: need >= {len(monos) + 2}")
+    needed = weight_monomial_count(w) + 2
+    if f.order < needed:  # before the monomials, whose number grows like w^2
+        raise ValueError(f"order {f.order} too small: need >= {needed}")
+    monos = weight_monomials(w)
     if f.min_exp < 0:
         raise NoDecomposition("polynomials in Ẽ2, Ẽ4, Ẽ6 have no pole at q = 0")
     order = f.order

@@ -144,9 +144,6 @@ class QI:
     def __bool__(self):
         return not self.is_zero()
 
-    def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

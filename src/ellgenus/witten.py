@@ -38,6 +38,7 @@ from .dga import Element, divide_exact, exp_nilpotent, substitute, unit_inverse
 from .geom import (
     ChernRootModel,
     ManifoldDescriptor,
+    MissingNumber,
     integrate_symbolic,
     pontryagin_algebra,
     pontryagin_character_component,
@@ -49,7 +50,7 @@ from .qmod import (
     eisenstein_q,
     half_lattice_normalization,
     quasi_modular_decompose,
-    weight_monomials,
+    weight_monomial_count,
     z2plus_power_sums,
 )
 from .scalars import QI, PiScalar
@@ -189,6 +190,7 @@ def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
     dim = descriptor.dim
     if dim == 0:
         return {(): Fraction(1)}
+    _require_every_number(descriptor)
     kmax = dim // 4
     alg = pontryagin_algebra(dim)
     table = power_sums_to_pontryagin(kmax)
@@ -297,7 +299,7 @@ def string_modularity_check(descriptor: ManifoldDescriptor, q_order: int = 10) -
     exactly when no Ẽ2-monomial appears.
     """
     weight = descriptor.dim // 2
-    needed = len(weight_monomials(weight)) + 2 if weight else 3
+    needed = weight_monomial_count(weight) + 2 if weight else 3
     order = max(q_order, needed)
     genus = witten_genus(descriptor, order)
     decomposition = quasi_modular_decompose(genus)
@@ -331,8 +333,7 @@ def product_descriptor(d1: ManifoldDescriptor, d2: ManifoldDescriptor) -> Manifo
             total += d1.pontryagin_numbers.get(left, Fraction(0)) * d2.pontryagin_numbers.get(
                 right, Fraction(0)
             )
-        if total:
-            numbers[part] = total
+        numbers[part] = total
     return ManifoldDescriptor(dim, numbers)
 
 
@@ -348,3 +349,36 @@ def _partitions(k: int):
             for tail in rec(rest - first, first):
                 yield (first,) + tail
     yield from rec(k, k)
+
+
+def _partition_count_exceeds(k: int, n: int) -> bool:
+    """Whether p(k) > n, by Euler's pentagonal recurrence
+
+        p(j) = sum_{i >= 1} (-1)^(i+1) (p(j - i(3i-1)/2) + p(j - i(3i+1)/2)),
+
+    stopping at the first p(j) > n: p is nondecreasing, so the work is bounded
+    by n however large k is."""
+    counts = [1]
+    for j in range(1, k + 1):
+        total, i = 0, 1
+        while (pent := i * (3 * i - 1) // 2) <= j:
+            sign = 1 if i % 2 else -1
+            total += sign * counts[j - pent]
+            if pent + i <= j:
+                total += sign * counts[j - pent - i]
+            i += 1
+        if total > n:
+            return True
+        counts.append(total)
+    return counts[-1] > n
+
+
+def _require_every_number(descriptor: ManifoldDescriptor) -> None:
+    """MissingNumber unless every partition of dim/4 has a number, checked before
+    any algebra is built.  The keys are distinct partitions of dim/4, so they are
+    all there exactly when there are p(dim/4) of them; a missing one then turns
+    up among the first len(keys) + 1 partitions."""
+    k, numbers = descriptor.dim // 4, descriptor.pontryagin_numbers
+    if _partition_count_exceeds(k, len(numbers)):
+        missing = next(part for part in _partitions(k) if part not in numbers)
+        raise MissingNumber(f"no Pontryagin number for partition {missing}")

@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,21 @@ def dense_pf_eliminate():
 @pytest.fixture
 def series_unit_inverse():
     return _series_unit_inverse
+
+
+# ---------------------------------------------------------------------------
+# numpy's eigenvalue-based Gauss-Legendre rule, kept as the oracle beside the
+# library's Newton rule.  Its O(grid^3) solve takes seconds at grid 4096, so
+# each grid's rule is built once per session and frozen.
+
+
+@cache
+def _leggauss(n):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@pytest.fixture
+def leggauss():
+    return _leggauss

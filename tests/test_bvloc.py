@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from ellgenus import bvloc
 from ellgenus.bvloc import (
+    MAX_GRID,
     EquivariantSurfaceProblem,
     FixedPointDegenerate,
     bv_localize,
@@ -139,8 +141,8 @@ def test_infinite_coefficient_is_not_closed():
 
 def test_one_gauss_legendre_rule_per_problem(capsys, tmp_path, monkeypatch):
     grids = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: grids.append(n) or leggauss(n))
+    build = bvloc._gauss_legendre
+    monkeypatch.setattr(bvloc, "_gauss_legendre", lambda n: grids.append(n) or build(n))
     q_closedness_residual(calibration_problem(1, 64))
     assert grids == []
     path = tmp_path / "prob.json"
@@ -149,3 +151,70 @@ def test_one_gauss_legendre_rule_per_problem(capsys, tmp_path, monkeypatch):
     assert grids == [64]
     nodes, weights = calibration_problem(1, 8).gauss_legendre
     assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# The Newton rule against numpy's eigenvalue rule (the leggauss fixture)
+
+ULP = np.finfo(float).eps  # one ulp of 1.0, the largest node size
+RULE_GRIDS = [*range(1, 41), 63, 64, 100, 255, 256, 511, 512, 1000, 1024, 2048, MAX_GRID]
+
+
+@pytest.mark.parametrize("n", RULE_GRIDS)
+def test_rule_nodes_match_the_oracle(leggauss, n):
+    nodes, weights = bvloc._gauss_legendre(n)
+    oracle_nodes, oracle_weights = leggauss(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert np.max(np.abs(nodes - oracle_nodes)) <= 2 * ULP
+    assert np.allclose(weights, oracle_weights, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("n", RULE_GRIDS)
+def test_rule_is_symmetric_and_sums_to_two(n):
+    nodes, weights = bvloc._gauss_legendre(n)
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    if n % 2:
+        assert nodes[n // 2] == 0
+    assert abs(np.sum(weights) - 2) <= 4 * ULP
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rule_integrates_polynomials_of_degree_below_2n_exactly(n):
+    nodes, weights = bvloc._gauss_legendre(n)
+    for degree in range(2 * n):
+        exact = 2 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert np.sum(weights * nodes**degree) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+    # degree 2n is the first the rule misses
+    assert np.sum(weights * nodes ** (2 * n)) != pytest.approx(2 / (2 * n + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
+def test_rule_integrates_exponentials_at_least_as_well_as_the_oracle(leggauss, n, c):
+    exact = 2 * math.sinh(c) / c
+
+    def error(rule):
+        nodes, weights = rule
+        return abs(math.fsum(weights * np.exp(c * nodes)) - exact) / exact
+
+    assert error(bvloc._gauss_legendre(n)) <= error(leggauss(n))
+
+
+SWEEP_GRIDS = [*range(1, 9), 16, 64, 256, 1024, 2048, MAX_GRID]
+SWEEP_T = [None, 0.5, 1.0, 2.0, 8.0]
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS)
+def test_residuals_no_worse_than_the_oracle_rule(leggauss, monkeypatch, grid):
+    """Every calibration residual stays within round-off of the one the oracle
+    rule gives: a literal "no larger" cannot hold at one ulp."""
+    for s in (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(3)):
+        problem = calibration_problem(s, grid)
+        newton = [bv_localize(problem, t)["residual"] for t in SWEEP_T]
+        with monkeypatch.context() as patch:
+            patch.setattr(bvloc, "_gauss_legendre", leggauss)
+            problem = calibration_problem(s, grid)
+            oracle = [bv_localize(problem, t)["residual"] for t in SWEEP_T]
+        for t, new, old in zip(SWEEP_T, newton, oracle):
+            assert new <= old + 1e-15 + 1e-8 * old, (s, t)

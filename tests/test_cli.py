@@ -3,7 +3,8 @@ import json
 import pytest
 
 from ellgenus import cli, dga, qmod
-from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, OK, main
+from ellgenus.bvloc import MAX_GRID
+from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, MAX_Q_ORDER, OK, main
 from ellgenus.geom import ChernRootModel
 from ellgenus.pfaff import regularized_product
 from ellgenus.qmod import QSeries, eisenstein_q
@@ -421,6 +422,8 @@ def test_pfaffian_product_rejects_a_non_finite_table(capsys, roots):
     ("genus --descriptor {d} --q-order -2", "--q-order >= 1"),
     ("anomaly --roots 1 --dim 8 --q-order 0", "--q-order >= 1"),
     ("anomaly --roots 1 --dim 8 --q-order -3", "--q-order >= 1"),
+    ("genus --descriptor {d} --q-order 513", f"--q-order <= {MAX_Q_ORDER}"),
+    ("anomaly --roots 1 --dim 8 --q-order 1000000", f"--q-order <= {MAX_Q_ORDER}"),
     ("localize --problem {p} --tolerance nan", "--tolerance"),
     ("localize --problem {p} --tolerance -1", "--tolerance"),
     ("localize --problem {p} --tolerance 0", "--tolerance"),
@@ -445,3 +448,57 @@ def test_bad_numeric_flags_are_input_errors(capsys, tmp_path, argv, named):
     p = tmp_path / "prob.json"
     p.write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 64}))
     assert named in assert_input_error(capsys, *argv.format(d=d, p=p).split())
+
+
+# Descriptors and series that would build algebra or series for minutes, or
+# forever, are rejected first.
+@pytest.mark.parametrize("dim,numbers,missing", [
+    (96, {}, "(24,)"),
+    (4000, {"1000": "1"}, "(999, 1)"),
+    (8, {"2": "7"}, "(1, 1)"),
+])
+def test_genus_rejects_an_incomplete_descriptor_at_once(capsys, tmp_path, dim, numbers, missing):
+    path = write_descriptor(tmp_path, "d.json", dim, numbers)
+    err = assert_input_error(capsys, "genus", "--descriptor", path)
+    assert err == f"error: no Pontryagin number for partition {missing}\n"
+
+
+@pytest.mark.parametrize("record,named", [
+    ({"weight": 4, "min_exp": 0, "coeffs": ["1", "240"], "order": 1000000}, "exceeds"),
+    ({"weight": 4, "min_exp": 0, "coeffs": ["1", "240"], "order": MAX_Q_ORDER + 1}, "exceeds"),
+    ({"weight": 1000000, "min_exp": 0, "coeffs": ["1"], "order": 10}, "too small"),
+])
+def test_decompose_rejects_a_series_too_large_to_solve(capsys, tmp_path, record, named):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(record))
+    assert named in assert_input_error(capsys, "decompose", "--series", str(path))
+
+
+# Odd but valid files: zero or huge numbers, a series truncated below its first
+# coefficient, and the smallest and largest grids.  Each ends in a documented
+# exit code without a traceback.
+ODD_DESCRIPTORS = [
+    {"1,1": "0", "2": "0"},
+    {"1,1": "1e300", "2": "-123456789012345678901234567890/7"},
+]
+ODD_SERIES = [
+    {"weight": 4, "min_exp": 5, "coeffs": ["1", "2"], "order": 3},
+    {"weight": 4, "min_exp": -3, "coeffs": ["1", "2"], "order": 2},
+    {"weight": 4, "min_exp": 0, "coeffs": [], "order": 0},
+]
+
+
+@pytest.mark.parametrize("kind,record", [
+    *(("genus", numbers) for numbers in ODD_DESCRIPTORS),
+    *(("decompose", series) for series in ODD_SERIES),
+    *(("localize", {"alpha0": "z", "g": "-1", "s": "1", "grid": grid}) for grid in (1, MAX_GRID)),
+])
+def test_odd_files_end_in_a_documented_exit_code(capsys, tmp_path, kind, record):
+    path = tmp_path / "in.json"
+    if kind == "genus":
+        record = {"dim": 8, "pontryagin_numbers": record}
+    path.write_text(json.dumps(record))
+    flag = {"genus": "--descriptor", "decompose": "--series", "localize": "--problem"}[kind]
+    extra = ["--t", "0.5", "--t", "2"] if kind == "localize" else []
+    assert main([kind, flag, str(path), *extra]) in (OK, INPUT_ERROR, IDENTITY_FAILURE)
+    assert "Traceback" not in capsys.readouterr().err

@@ -144,3 +144,15 @@ def test_descriptor_file_round_trip():
     d = ManifoldDescriptor(8, {(1, 1): Fraction(4), (2,): Fraction(7, 3)})
     back = ManifoldDescriptor.loads(d.dumps())
     assert back.dim == 8 and back.pontryagin_numbers == d.pontryagin_numbers
+
+
+def test_missing_number_message_is_not_quoted():
+    with pytest.raises(MissingNumber) as info:
+        ManifoldDescriptor(8, {(2,): 7}).number((1, 1))
+    assert str(info.value) == "no Pontryagin number for partition (1, 1)"
+
+
+@pytest.mark.parametrize("part", [(3, -1), (2, 0)])
+def test_descriptor_rejects_a_part_below_one(part):
+    with pytest.raises(ValueError, match="part below 1"):
+        ManifoldDescriptor(8, {part: 1})

@@ -24,6 +24,7 @@ from ellgenus.qmod import (
     lattice_partial_sum,
     quasi_modular_decompose,
     transform_residual,
+    weight_monomial_count,
     weight_monomials,
     z2plus_points,
     z2plus_shell,
@@ -343,6 +344,16 @@ def test_decompose_round_trip_random_polynomials():
         dec = quasi_modular_decompose(series)
         assert dec.coeffs == {m: v for m, v in coeffs.items() if v}
         assert dec.is_modular == all(a == 0 or v == 0 for (a, _, _), v in coeffs.items())
+
+
+def test_weight_monomial_count_is_the_closed_form():
+    for weight in range(-3, 200):
+        assert weight_monomial_count(weight) == len(weight_monomials(weight))
+
+
+def test_decompose_checks_the_order_before_listing_monomials():
+    with pytest.raises(ValueError, match="need >= 20833583336"):
+        quasi_modular_decompose(QSeries(10**6, {0: 1}, 10))
 
 
 def test_e2_detection():

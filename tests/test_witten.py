@@ -23,6 +23,7 @@ from ellgenus.qmod import (
 )
 from ellgenus.scalars import QI
 from ellgenus.witten import (
+    _partition_count_exceeds,
     _partitions,
     anomaly_delta,
     anomaly_delta_symbolic,
@@ -104,6 +105,21 @@ def test_genus_propagates_missing_numbers():
 
     with pytest.raises(MissingNumber):
         witten_genus(ManifoldDescriptor(8, {(2,): 7}), 4)
+
+
+def test_partition_count_by_the_pentagonal_recurrence():
+    for k in range(25):
+        count = sum(1 for _ in _partitions(k))
+        assert _partition_count_exceeds(k, count - 1) and not _partition_count_exceeds(k, count)
+    # p(10^6) has over a thousand digits: the count stops at the first p(j) > n
+    assert _partition_count_exceeds(10**6, 100)
+
+
+def test_product_descriptor_keeps_zero_numbers():
+    d1, d2 = ManifoldDescriptor(4, {(1,): 0}), ManifoldDescriptor(4, {(1,): 5})
+    dp = product_descriptor(d1, d2)
+    assert dp.pontryagin_numbers == {(1, 1): 0, (2,): 0}
+    assert witten_genus(dp, 4) == (witten_genus(d1, 4) * witten_genus(d2, 4)).truncate(4)
 
 
 def test_genus_q0_is_a_hat_genus():
