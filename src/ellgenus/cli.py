@@ -27,6 +27,7 @@ from .pfaff import (
     block_norm_pfaffian,
     product_exponential_form,
     regularized_product,
+    root_entries,
 )
 from .qmod import (
     GAMMA_S,
@@ -234,8 +235,9 @@ def _build_parser():
 
 
 def _cmd_eisenstein(args, report: Report) -> int:
-    if not 1 <= args.k <= MAX_K or args.q_order < 1 or args.bound < 1:
-        raise ValueError(f"need 1 <= --k <= {MAX_K}, --q-order >= 1 and --bound >= 1")
+    if not 1 <= args.k <= MAX_K or args.bound < 1:
+        raise ValueError(f"need 1 <= --k <= {MAX_K} and --bound >= 1")
+    _check_q_order(args.q_order)
     tau = _parse_tau(args.tau)
     tol = args.tolerance if args.tolerance is not None else 1e-6
     _check_tolerance(tol)
@@ -284,6 +286,7 @@ def _cmd_eisenstein(args, report: Report) -> int:
 
 
 def _cmd_witten_class(args, report: Report) -> int:
+    _check_q_order(args.q_order)
     model = ChernRootModel(args.roots, args.dim)
     cls = witten_class(model, args.q_order)
     _config_record(report, args, roots=args.roots, dim=args.dim, q_order=args.q_order)
@@ -393,10 +396,11 @@ def _product_table(model, bounds, tau):
         return
     want = set(bounds)
     acc = model.algebra.one(dga.COMPLEX)
+    entries = root_entries(model, dga.COMPLEX)
     for s in range(1, max(bounds) + 1):
         n, m = z2plus_shell(s)
         for point in zip(n.tolist(), m.tolist()):
-            acc = acc * block_norm_pfaffian(point, model, tau, dga.COMPLEX, False)
+            acc = acc * block_norm_pfaffian(point, model, tau, dga.COMPLEX, False, entries)
         if s in want:
             yield s, acc
 

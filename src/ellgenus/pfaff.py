@@ -253,15 +253,25 @@ def _block_scalar(n, m, tau, mode):
     return dga.coerce(mode, val)
 
 
-def normalized_block_matrix(idx, model: ChernRootModel, tau, mode):
-    """Id + beta R / (2 pi i (n tau - m)) over the model's algebra."""
+def root_entries(model: ChernRootModel, mode) -> list:
+    """beta x_j for each root: the curvature entries every block shares, built
+    once per product and passed to each block."""
+    beta = model.beta(mode)
+    return [beta * x for x in model.roots(mode)]
+
+
+def normalized_block_matrix(idx, model: ChernRootModel, tau, mode, entries=None):
+    """Id + beta R / (2 pi i (n tau - m)) over the model's algebra.
+
+    entries is root_entries(model, mode), built here when None."""
     n, m = (idx.n, idx.m) if isinstance(idx, BlockIndex) else idx
     size = 2 * model.r
     mat = identity_matrix(model.algebra, size, mode)
     scal = _block_scalar(n, m, tau, mode)
-    beta = model.beta(mode)
-    for jdx, x in enumerate(model.roots(mode)):
-        entry = beta * x * scal
+    if entries is None:
+        entries = root_entries(model, mode)
+    for jdx, bx in enumerate(entries):
+        entry = bx * scal
         mat[2 * jdx][2 * jdx + 1] = mat[2 * jdx][2 * jdx + 1] + entry
         mat[2 * jdx + 1][2 * jdx] = mat[2 * jdx + 1][2 * jdx] - entry
     return mat
@@ -275,15 +285,17 @@ def _block_z(idx, tau, mode):
     return dga.coerce(mode, two_pi_i_times(QI(n) * _tau_qi(tau) - QI(m)))
 
 
-def _paired_skew_block(idx, model: ChernRootModel, tau, mode):
+def _paired_skew_block(idx, model: ChernRootModel, tau, mode, entries=None):
     """[[0, A], [-A^T, 0]] with A = 2 pi i (n tau - m) Id + beta R."""
     alg = model.algebra
     size = 2 * model.r
     z = alg.scalar(_block_z(idx, tau, mode), mode)
-    beta = model.beta(mode)
+    if entries is None:
+        entries = root_entries(model, mode)
+    two_pi = _two_pi(mode)
     a = [[alg.zero(mode) for _ in range(size)] for _ in range(size)]
-    for jdx, x in enumerate(model.roots(mode)):
-        entry = beta * x * _two_pi(mode)
+    for jdx, bx in enumerate(entries):
+        entry = bx * two_pi
         a[2 * jdx][2 * jdx] = z
         a[2 * jdx + 1][2 * jdx + 1] = z
         a[2 * jdx][2 * jdx + 1] = entry
@@ -294,19 +306,22 @@ def _paired_skew_block(idx, model: ChernRootModel, tau, mode):
     return top + bottom
 
 
-def block_norm_pfaffian(idx, model: ChernRootModel, tau, mode=dga.PI, verify_routes=True):
+def block_norm_pfaffian(idx, model: ChernRootModel, tau, mode=dga.PI, verify_routes=True,
+                        entries=None):
     """det(Id + beta R / (2 pi i (n tau - m))), checked against the Pfaffian ratio.
 
     With verify_routes the value is computed twice: as a determinant over the
     algebra and as Pf(paired block) / Pf(paired block with R = 0), the latter in
     closed form; exact modes require exact agreement (PfaffianRouteMismatch
-    otherwise).
+    otherwise).  entries is root_entries(model, mode), built here when None.
     """
     if model.r == 0:
         return model.algebra.one(mode)
-    det = determinant(normalized_block_matrix(idx, model, tau, mode))
+    if entries is None:
+        entries = root_entries(model, mode)
+    det = determinant(normalized_block_matrix(idx, model, tau, mode, entries))
     if verify_routes:
-        pf = pfaffian(_paired_skew_block(idx, model, tau, mode))
+        pf = pfaffian(_paired_skew_block(idx, model, tau, mode, entries))
         ratio = pf * _zero_block_pfaffian(idx, model.r, tau, mode) ** -1
         if mode == dga.COMPLEX:
             if not _close_elements(ratio, det):
@@ -351,8 +366,9 @@ def regularized_product(model: ChernRootModel, shell_bound: int, tau, mode=dga.P
     if mode == dga.COMPLEX and not verify_routes:
         return product_exponential_form(model, shell_bound, tau, mode)
     acc = model.algebra.one(mode)
+    entries = root_entries(model, mode)
     for n, m in z2plus_points(shell_bound):
-        acc = acc * block_norm_pfaffian((n, m), model, tau, mode, verify_routes)
+        acc = acc * block_norm_pfaffian((n, m), model, tau, mode, verify_routes, entries)
     return acc
 
 

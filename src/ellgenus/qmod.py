@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -60,50 +61,80 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(v).__name__}")
 
 
+_set = object.__setattr__
+
+
 class QSeries:
     """Truncated Laurent series in q with exact rational coefficients and a weight.
 
     ``order`` is the exponent bound: coefficients are valid for exponents < order.
     ``order=None`` marks an exact polynomial (infinite order), used for constants.
+
+    The coefficients are stored as integer numerators over one positive
+    denominator: q^(lo + i) has coefficient num[i] / den, num is dense from
+    the lowest nonzero exponent lo to the highest, both ends nonzero (num is
+    empty and lo is 0 for the zero series), no exponent reaches the order, and
+    gcd(den, *num) = 1.  That form is unique, so equal series have equal
+    vectors.  Each operation builds its result's vector in integers (a
+    product is an integer convolution, a sum works over the lcm of the two
+    denominators) and normalizes it once: trim the zero ends, divide out one
+    gcd.  ``coeffs``, ``__getitem__`` and the text forms present the
+    coefficients as Fractions.
     """
 
-    __slots__ = ("weight", "coeffs", "order")
+    __slots__ = ("weight", "order", "_lo", "_num", "_den", "_coeffs")
 
     def __init__(self, weight, coeffs, order):
+        order = None if order is None else int(order)
         clean = {}
         for e, c in coeffs.items():
             c = _as_fraction(c)
             if c != 0 and (order is None or e < order):
                 clean[int(e)] = c
-        object.__setattr__(self, "weight", int(weight))
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "order", None if order is None else int(order))
+        # over the lcm of reduced denominators the numerators already share no factor with it
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        lo = min(clean, default=0)
+        num = [0] * (max(clean) - lo + 1) if clean else []
+        for e, c in clean.items():
+            num[e - lo] = c.numerator * (den // c.denominator)
+        _init(self, int(weight), lo, num, den, order)
 
     def __setattr__(self, *a):
         raise AttributeError("QSeries is immutable")
 
     @staticmethod
     def constant(value, weight=0) -> "QSeries":
-        return QSeries(weight, {0: _as_fraction(value)}, None)
+        c = _as_fraction(value)
+        return _raw(int(weight), 0, [c.numerator] if c else [], c.denominator, None)
 
     @staticmethod
     def zero(weight=0) -> "QSeries":
-        return QSeries(weight, {}, None)
+        return _raw(int(weight), 0, [], 1, None)
 
     @property
     def min_exp(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
+        return self._lo
+
+    @property
+    def coeffs(self):
+        """The nonzero coefficients, a read-only mapping exponent -> Fraction."""
+        if self._coeffs is None:
+            lo, den = self._lo, self._den
+            _set(self, "_coeffs", MappingProxyType(
+                {lo + i: Fraction(n, den) for i, n in enumerate(self._num) if n}))
+        return self._coeffs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __getitem__(self, e: int) -> Fraction:
         if self.order is not None and e >= self.order:
             raise IndexError(f"coefficient q^{e} beyond truncation order {self.order}")
-        return self.coeffs.get(e, Fraction(0))
+        i = e - self._lo
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     def _join_weight(self, other: "QSeries") -> int:
         if self.is_zero():
@@ -122,15 +153,31 @@ class QSeries:
                 return NotImplemented
         w = self._join_weight(other)
         order = _min_order(self.order, other.order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return QSeries(w, out, order)
+        a, b = self._num, other._num
+        if not b:
+            return self._with(w, order)
+        if not a:
+            return other._with(w, order)
+        # over the lcm of the denominators: self's numerators times fa, other's times fb
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        la, lb = self._lo, other._lo
+        lo = min(la, lb)
+        hi = max(la + len(a), lb + len(b))
+        if order is not None and order < hi:
+            hi = order
+            a, b = a[:max(0, hi - la)], b[:max(0, hi - lb)]
+        num = [0] * max(0, hi - lo)
+        num[la - lo:la - lo + len(a)] = [fa * x for x in a] if fa != 1 else a
+        off = lb - lo
+        num[off:off + len(b)] = [x + fb * y for x, y in zip(num[off:off + len(b)], b)]
+        return _fresh(w, lo, num, da * fa, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.weight, {e: -c for e, c in self.coeffs.items()}, self.order)
+        return _raw(self.weight, self._lo, [-x for x in self._num], self._den, self.order)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -147,18 +194,22 @@ class QSeries:
                 c = _as_fraction(other)
             except TypeError:
                 return NotImplemented
-            return QSeries(self.weight, {e: c * v for e, v in self.coeffs.items()}, self.order)
+            p = c.numerator
+            return _fresh(self.weight, self._lo, [p * x for x in self._num],
+                          self._den * c.denominator, self.order)
         order = _min_order(
-            None if self.order is None else self.order + other.min_exp,
-            None if other.order is None else other.order + self.min_exp,
+            None if self.order is None else self.order + other._lo,
+            None if other.order is None else other.order + self._lo,
         )
-        out = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = ea + eb
-                if order is None or e < order:
-                    out[e] = out.get(e, Fraction(0)) + ca * cb
-        return QSeries(self.weight + other.weight, out, order)
+        w = self.weight + other.weight
+        a, b = self._num, other._num
+        lo = self._lo + other._lo
+        n = len(a) + len(b) - 1
+        if order is not None:
+            n = min(n, order - lo)
+        if not a or not b or n <= 0:
+            return _raw(w, 0, [], 1, order)
+        return _fresh(w, lo, _convolve(a, b, n), self._den * other._den, order)
 
     __rmul__ = __mul__
 
@@ -168,30 +219,38 @@ class QSeries:
         return power(self, e, QSeries.constant(1))
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse up to this truncation order."""
+        """Multiplicative inverse up to this truncation order.
+
+        With a = num shifted to start at q^0, 1/a = sum_k R_k q^k / a_0^(k+1)
+        where R_0 = 1 and R_k = -sum_{j=1..k} a_j a_0^(j-1) R_{k-j} are
+        integers; the inverse is den times that over the common a_0^target.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero series")
-        m = self.min_exp
-        lead = self.coeffs[m]
-        if self.order is None:
-            target = max(self.coeffs) - m + 1
-        else:
-            target = self.order - m
-        # invert sum c_j q^j with c_0 = lead, j = shifted exponent
-        shifted = {e - m: c for e, c in self.coeffs.items()}
-        inv = {0: 1 / lead}
-        for n in range(1, target):
-            s = Fraction(0)
-            for j in range(1, n + 1):
-                if j in shifted and (n - j) in inv:
-                    s += shifted[j] * inv[n - j]
-            if s:
-                inv[n] = -s / lead
+        a, m = self._num, self._lo
+        target = len(a) if self.order is None else self.order - m
+        a0 = a[0]
+        scaled = [0] + [aj * a0 ** (j - 1) for j, aj in enumerate(a[1:target], 1)]
+        r = [1]
+        for k in range(1, target):
+            r.append(-sum(scaled[j] * r[k - j] for j in range(1, min(k, len(scaled) - 1) + 1)))
+        den = a0**target
+        num = [self._den * rk * a0 ** (target - 1 - k) for k, rk in enumerate(r)]
+        if den < 0:
+            den, num = -den, [-x for x in num]
         order = None if self.order is None else self.order - 2 * m
-        return QSeries(-self.weight, {e - m: c for e, c in inv.items()}, order)
+        return _fresh(-self.weight, -m, num, den, order)
 
     def truncate(self, order: int) -> "QSeries":
-        return QSeries(self.weight, self.coeffs, _min_order(self.order, order))
+        return self._with(self.weight, _min_order(self.order, order))
+
+    def _with(self, weight: int, order) -> "QSeries":
+        """This series under another weight, truncated to order (at most its own)."""
+        num = self._num
+        n = len(num) if order is None else max(0, min(len(num), order - self._lo))
+        if n == len(num):
+            return _raw(weight, self._lo, num, self._den, order)
+        return _fresh(weight, self._lo, num[:n], self._den, order)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -200,8 +259,10 @@ class QSeries:
             return True
         return (
             self.weight == other.weight
-            and self.coeffs == other.coeffs
             and self.order == other.order
+            and self._lo == other._lo
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
@@ -210,15 +271,16 @@ class QSeries:
         return hash((self.weight, frozenset(self.coeffs.items()), self.order))
 
     def evaluate(self, q: complex) -> complex:
-        return sum(complex(c) * q**e for e, c in sorted(self.coeffs.items()))
+        """sum c_e q^e in increasing e, each c_e the correctly rounded float of num/den."""
+        lo, den = self._lo, self._den
+        return sum(complex(n / den) * q ** (lo + i) for i, n in enumerate(self._num) if n)
 
     def render(self, var: str = "q") -> str:
         """Human form, e.g. ``1 + 240 q + 2160 q^2``."""
         if self.is_zero():
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e, c in self.coeffs.items():
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -233,7 +295,7 @@ class QSeries:
 
     def compact(self) -> str:
         """Space-free token for embedding in algebra renderings."""
-        cs = ";".join(f"{e}:{c}" for e, c in sorted(self.coeffs.items()))
+        cs = ";".join(f"{e}:{c}" for e, c in self.coeffs.items())
         order = "inf" if self.order is None else str(self.order)
         return "q{w=%d;N=%s;%s}" % (self.weight, order, cs)
 
@@ -255,15 +317,16 @@ class QSeries:
 
     def to_record(self) -> dict:
         """External record: {weight, min_exp, coeffs, order} with "p/q" strings."""
-        if self.coeffs:
-            lo = self.min_exp
-            hi = (self.order - 1) if self.order is not None else max(self.coeffs)
-        else:
+        if self.is_zero():
             lo, hi = 0, -1
+        else:
+            lo = self._lo
+            hi = (self.order - 1) if self.order is not None else lo + len(self._num) - 1
+        coeffs = self.coeffs
         return {
             "weight": self.weight,
             "min_exp": lo,
-            "coeffs": [str(self.coeffs.get(e, Fraction(0))) for e in range(lo, hi + 1)],
+            "coeffs": [str(coeffs.get(e, Fraction(0))) for e in range(lo, hi + 1)],
             "order": self.order,
         }
 
@@ -282,6 +345,53 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries(w={self.weight}, {self.render()}, order={self.order})"
+
+
+def _init(s: QSeries, weight: int, lo: int, num: list, den: int, order) -> None:
+    _set(s, "weight", weight)
+    _set(s, "order", order)
+    _set(s, "_lo", lo)
+    _set(s, "_num", num)
+    _set(s, "_den", den)
+    _set(s, "_coeffs", None)
+
+
+def _raw(weight: int, lo: int, num: list, den: int, order) -> QSeries:
+    """A QSeries from a vector already in normal form (see the class docstring)."""
+    s = object.__new__(QSeries)
+    _init(s, weight, lo, num, den, order)
+    return s
+
+
+def _fresh(weight: int, lo: int, num: list, den: int, order) -> QSeries:
+    """A QSeries from a vector an operation has just built: num a list of ints
+    no other series holds, den > 0, no entry at or past the order.  Trims the
+    zero ends and divides out the common gcd, once."""
+    start, stop = 0, len(num)
+    while stop and not num[stop - 1]:
+        stop -= 1
+    while start < stop and not num[start]:
+        start += 1
+    if start == stop:
+        return _raw(weight, 0, [], 1, order)
+    if start or stop < len(num):
+        num, lo = num[start:stop], lo + start
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [x // g for x in num], den // g
+    return _raw(weight, lo, num, den, order)
+
+
+def _convolve(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of integer polynomials a and b."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * n
+    for i, x in enumerate(b[:n]):
+        if x:
+            m = min(len(a), n - i)
+            out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], a)]
+    return out
 
 
 def _min_order(a, b):
@@ -310,10 +420,32 @@ def eisenstein_q(k: int, order: int) -> QSeries:
         power = d ** (2 * k - 1)
         for n in range(d, order, d):
             sigma[n] += power
-    coeffs = {0: Fraction(1)}
-    for n in range(1, order):
-        coeffs[n] = pref * sigma[n]
-    return QSeries(2 * k, coeffs, order)
+    p, den = pref.numerator, pref.denominator
+    return _fresh(2 * k, 0, [den] + [p * s for s in sigma[1:]], den, order)
+
+
+class EMonomials(dict):
+    """The products Ẽ_{2k_1} ... Ẽ_{2k_n} at one truncation order, each expanded once.
+
+    Keyed by the nondecreasing tuple (k_1, ..., k_n); () is the exact constant 1.
+    A missing entry is its parent's (the tuple without its last k) times
+    Ẽ_{2k_n}, one product each.  The Witten class and genus read their
+    E-symbol monomials here (scaled by the symbol normalizations), and the
+    decomposition its columns Ẽ2^a Ẽ4^b Ẽ6^c, the tuples of a ones, b twos
+    and c threes.  A table serves one evaluation and is then dropped.
+    """
+
+    def __init__(self, order: int):
+        super().__init__({(): QSeries.constant(1)})
+        self.order = order
+
+    def __missing__(self, ks: tuple) -> QSeries:
+        if len(ks) == 1:
+            s = eisenstein_q(ks[0], self.order)
+        else:
+            s = self[ks[:-1]] * self[ks[-1:]]
+        self[ks] = s
+        return s
 
 
 def lattice_normalization(k: int) -> Fraction:
@@ -579,69 +711,85 @@ def e_monomial_name(mono) -> str:
     return "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(mono) if e) or "1"
 
 
-def quasi_modular_decompose(f: QSeries) -> QuasiModularDecomposition:
+def quasi_modular_decompose(f: QSeries, table: EMonomials | None = None) -> QuasiModularDecomposition:
     """Solve for f as an exact polynomial in Ẽ2, Ẽ4, Ẽ6 of f's weight.
 
     Matches every available q-coefficient; raises NoDecomposition when the
     linear system is inconsistent (the series is not quasi-modular of that
-    weight at this truncation) or underdetermined.
+    weight at this truncation) or underdetermined.  The columns come from
+    table, an EMonomials at f's order (a new one when None).
     """
     w = f.weight
-    if f.is_zero():
-        return QuasiModularDecomposition(w, {})
-    if w < 0 or w % 2:
-        raise NoDecomposition(f"no quasi-modular forms of weight {w}")
     if f.order is None:
         raise NoDecomposition("need a truncated series with a definite order")
     needed = weight_monomial_count(w) + 2
     if f.order < needed:  # before the monomials, whose number grows like w^2
         raise ValueError(f"order {f.order} too small: need >= {needed}")
-    monos = weight_monomials(w)
+    if f.is_zero():
+        return QuasiModularDecomposition(w, {})
+    if w < 0 or w % 2:
+        raise NoDecomposition(f"no quasi-modular forms of weight {w}")
     if f.min_exp < 0:
         raise NoDecomposition("polynomials in Ẽ2, Ẽ4, Ẽ6 have no pole at q = 0")
     order = f.order
-    series = {1: eisenstein_q(1, order), 2: eisenstein_q(2, order), 3: eisenstein_q(3, order)}
-    cols = []
-    for (a, b, c) in monos:
-        s = QSeries.constant(1)
-        s = s * series[1] ** a * series[2] ** b * series[3] ** c
-        cols.append(s)
-    rows = range(0, order)
-    matrix = [[col[e] for col in cols] for e in rows]
-    rhs = [f[e] for e in rows]
-    sol = _solve_exact(matrix, rhs)
+    if table is None:
+        table = EMonomials(order)
+    elif table.order != order:
+        raise ValueError(f"monomial table at order {table.order}, series at order {order}")
+    monos = weight_monomials(w)
+    cols = [table[(1,) * a + (2,) * b + (3,) * c] for a, b, c in monos]
+    # column j is N_j / D_j: solve with the numerators, then x_j = D_j y_j / den(f)
+    matrix = list(zip(*(_numerators(col, order) for col in cols)))
+    sol = _solve_exact(matrix, _numerators(f, order))
     if sol is None:
         raise NoDecomposition(f"weight-{w} system inconsistent at order {order}")
-    return QuasiModularDecomposition(w, {m: c for m, c in zip(monos, sol) if c != 0})
+    coeffs = {m: y * Fraction(col._den, f._den) for m, y, col in zip(monos, sol, cols)}
+    return QuasiModularDecomposition(w, {m: c for m, c in coeffs.items() if c})
+
+
+def _numerators(f: QSeries, order: int) -> list:
+    """f's numerators at q^0 .. q^(order - 1), for a series without a pole."""
+    out = [0] * order
+    out[f._lo:f._lo + len(f._num)] = f._num
+    return out
 
 
 def _solve_exact(matrix, rhs):
-    """Solve an overdetermined rational system exactly; None if inconsistent."""
+    """Solve an overdetermined integer system exactly; None if inconsistent.
+
+    Fraction-free Gaussian elimination (Bareiss 1968): with p the previous
+    pivot, each step replaces the entries below pivot v by (v x - f y) / p, a
+    division that is always exact, so every entry stays an integer minor of
+    the system.  Back substitution over the last pivot det gives the integers
+    det * solution (Cramer's rule), divided out once at the end.
+    """
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
+        top = rows[r]
+        v = top[c]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            row[c:] = [(v * x - f * y) // prev for x, y in zip(row[c:], top[c:])]
+        prev = v
         r += 1
         if r == len(rows):
             break
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None  # 0 = nonzero: inconsistent
-    if len(pivots) < ncols:
+    if any(rows[i][ncols] for i in range(r, len(rows))):
+        return None  # 0 = nonzero: inconsistent
+    if r < ncols:  # a column without a pivot
         raise NoDecomposition("underdetermined system: increase the order")
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
-    return sol
+    det = prev
+    scaled = [0] * ncols  # det * solution
+    for i in reversed(range(r)):
+        row = rows[i]
+        acc = det * row[ncols] - sum(row[j] * scaled[j] for j in range(i + 1, ncols))
+        scaled[i] = acc // row[i]
+    return [Fraction(x, det) for x in scaled]

@@ -46,6 +46,7 @@ from .geom import (
     power_sums_to_pontryagin,
 )
 from .qmod import (
+    EMonomials,
     QSeries,
     eisenstein_q,
     half_lattice_normalization,
@@ -65,13 +66,16 @@ def q_evaluate(el: Element, q_order: int) -> Element:
     """Replace the Eisenstein symbols by their q-series; result in qseries mode."""
     alg = el.algebra
     symbol_k = {i: k for i, g in enumerate(alg.gens) if (k := _symbol_k(g.name))}
-    series = _symbol_monomials(q_order)
+    table = EMonomials(q_order)
+    scales = {}  # ks -> _symbol_scale(ks)
     zero = QSeries.zero()
     out = {}
     for mono, coeff in el.convert(dga.RATIONAL).terms.items():
         rest = tuple((i, e) for i, e in mono if i not in symbol_k)
         ks = tuple(sorted(symbol_k[i] for i, e in mono if i in symbol_k for _ in range(e)))
-        s = out.get(rest, zero) + series(ks) * coeff
+        if ks not in scales:
+            scales[ks] = _symbol_scale(ks)
+        s = out.get(rest, zero) + table[ks] * (coeff * scales[ks])
         if s.is_zero():
             out.pop(rest, None)
         else:
@@ -84,24 +88,10 @@ def _symbol_k(name: str) -> int:
     return int(name[1:]) // 2 if name.startswith("E") and name[1:].isdigit() else 0
 
 
-def _symbol_monomials(q_order: int):
-    """The q-series of E-monomials for one evaluation, each expanded once.
-
-    A monomial is a nondecreasing tuple of k, one entry per factor E{2k}; its
-    series is its parent's (the tuple without the last entry) times one E{2k}
-    series.
-    """
-    cache = {(): QSeries.constant(1)}
-
-    def series(ks: tuple) -> QSeries:
-        if ks not in cache:
-            if len(ks) == 1:
-                cache[ks] = eisenstein_symbol_series(ks[0], q_order)
-            else:
-                cache[ks] = series(ks[:-1]) * series(ks[-1:])
-        return cache[ks]
-
-    return series
+def _symbol_scale(ks: tuple) -> Fraction:
+    """The product of E{2k}'s normalizations over ks: the symbol monomial is this times
+    the Ẽ-monomial of the same ks."""
+    return math.prod(map(half_lattice_normalization, ks), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +202,11 @@ def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
     return integrate_symbolic(descriptor, top * alg.gen("b", power=dim // 2))
 
 
-def witten_genus(descriptor: ManifoldDescriptor, q_order: int) -> QSeries:
+def witten_genus(descriptor: ManifoldDescriptor, q_order: int,
+                 table: EMonomials | None = None) -> QSeries:
     """Weight-dim/2 q-expansion of the genus; q^0 term is the A-hat genus.
+
+    The E-monomials come from table, an EMonomials at q_order (a new one when None).
 
     A rational string structure enters through the descriptor: zero numbers on
     every p1-involving partition.  (The class-level alternative is
@@ -225,11 +218,14 @@ def witten_genus(descriptor: ManifoldDescriptor, q_order: int) -> QSeries:
     dim = descriptor.dim
     if dim == 0:
         return QSeries.constant(sym.get((), Fraction(0))).truncate(q_order)
-    series = _symbol_monomials(q_order)
+    if table is None:
+        table = EMonomials(q_order)
+    elif table.order != q_order:
+        raise ValueError(f"monomial table at order {table.order}, genus at order {q_order}")
     total = QSeries(dim // 2, {}, q_order)
     for ekey, coeff in sym.items():
         ks = tuple(k for k, e in enumerate(ekey, 1) for _ in range(e))
-        total = total + series(ks) * coeff
+        total = total + table[ks] * (coeff * _symbol_scale(ks))
     return total.truncate(q_order)
 
 
@@ -301,8 +297,9 @@ def string_modularity_check(descriptor: ManifoldDescriptor, q_order: int = 10) -
     weight = descriptor.dim // 2
     needed = weight_monomial_count(weight) + 2 if weight else 3
     order = max(q_order, needed)
-    genus = witten_genus(descriptor, order)
-    decomposition = quasi_modular_decompose(genus)
+    table = EMonomials(order)
+    genus = witten_genus(descriptor, order, table)
+    decomposition = quasi_modular_decompose(genus, table)
     return {
         "weight": weight,
         "genus": genus.truncate(q_order),

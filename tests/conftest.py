@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -155,3 +156,174 @@ def _leggauss(n):
 @pytest.fixture
 def leggauss():
     return _leggauss
+
+
+# ---------------------------------------------------------------------------
+# Dict-of-Fraction q-series arithmetic and Fraction Gauss-Jordan elimination,
+# kept as oracles beside the library's integer-vector QSeries and fraction-free
+# solve: every coefficient a Fraction, re-normalized after every operation.
+
+
+def _min_order(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+class FractionQSeries:
+    """A q-series as {exponent: Fraction}, with the library's order and weight rules."""
+
+    def __init__(self, weight, coeffs, order):
+        self.weight = int(weight)
+        self.order = None if order is None else int(order)
+        self.coeffs = {
+            int(e): Fraction(c) for e, c in coeffs.items()
+            if Fraction(c) != 0 and (order is None or e < order)
+        }
+
+    @property
+    def min_exp(self):
+        return min(self.coeffs) if self.coeffs else 0
+
+    def _join_weight(self, other):
+        if not self.coeffs:
+            return other.weight
+        if not other.coeffs:
+            return self.weight
+        assert self.weight == other.weight
+        return self.weight
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return FractionQSeries(self._join_weight(other), out, _min_order(self.order, other.order))
+
+    def __neg__(self):
+        return FractionQSeries(self.weight, {e: -c for e, c in self.coeffs.items()}, self.order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionQSeries):
+            c = Fraction(other)
+            return FractionQSeries(self.weight, {e: c * v for e, v in self.coeffs.items()}, self.order)
+        order = _min_order(
+            None if self.order is None else self.order + other.min_exp,
+            None if other.order is None else other.order + self.min_exp,
+        )
+        out = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                e = ea + eb
+                if order is None or e < order:
+                    out[e] = out.get(e, Fraction(0)) + ca * cb
+        return FractionQSeries(self.weight + other.weight, out, order)
+
+    def inverse(self):
+        m = self.min_exp
+        lead = self.coeffs[m]
+        target = max(self.coeffs) - m + 1 if self.order is None else self.order - m
+        shifted = {e - m: c for e, c in self.coeffs.items()}
+        inv = {0: 1 / lead}
+        for n in range(1, target):
+            s = Fraction(0)
+            for j in range(1, n + 1):
+                if j in shifted and (n - j) in inv:
+                    s += shifted[j] * inv[n - j]
+            if s:
+                inv[n] = -s / lead
+        order = None if self.order is None else self.order - 2 * m
+        return FractionQSeries(-self.weight, {e - m: c for e, c in inv.items()}, order)
+
+    def truncate(self, order):
+        return FractionQSeries(self.weight, self.coeffs, _min_order(self.order, order))
+
+    def hash(self):
+        if not self.coeffs:
+            return hash(())
+        return hash((self.weight, frozenset(self.coeffs.items()), self.order))
+
+    def evaluate(self, q):
+        return sum(complex(c) * q**e for e, c in sorted(self.coeffs.items()))
+
+    def render(self, var="q"):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                power = var if e == 1 else f"{var}^{e}"
+                body = power if mag == 1 else f"{mag} {power}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts)
+
+    def compact(self):
+        cs = ";".join(f"{e}:{c}" for e, c in sorted(self.coeffs.items()))
+        order = "inf" if self.order is None else str(self.order)
+        return "q{w=%d;N=%s;%s}" % (self.weight, order, cs)
+
+    def to_record(self):
+        if self.coeffs:
+            lo = self.min_exp
+            hi = (self.order - 1) if self.order is not None else max(self.coeffs)
+        else:
+            lo, hi = 0, -1
+        return {
+            "weight": self.weight,
+            "min_exp": lo,
+            "coeffs": [str(self.coeffs.get(e, Fraction(0))) for e in range(lo, hi + 1)],
+            "order": self.order,
+        }
+
+
+def _fraction_solve_exact(matrix, rhs):
+    """Gauss-Jordan over Fractions; None if inconsistent, ValueError if underdetermined."""
+    rows = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(matrix, rhs)]
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if rows[i][ncols] != 0:
+            return None
+    if len(pivots) < ncols:
+        raise ValueError("underdetermined")
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][ncols]
+    return sol
+
+
+@pytest.fixture
+def fraction_qseries():
+    return FractionQSeries
+
+
+@pytest.fixture
+def fraction_solve_exact():
+    return _fraction_solve_exact

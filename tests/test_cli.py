@@ -424,6 +424,10 @@ def test_pfaffian_product_rejects_a_non_finite_table(capsys, roots):
     ("anomaly --roots 1 --dim 8 --q-order -3", "--q-order >= 1"),
     ("genus --descriptor {d} --q-order 513", f"--q-order <= {MAX_Q_ORDER}"),
     ("anomaly --roots 1 --dim 8 --q-order 1000000", f"--q-order <= {MAX_Q_ORDER}"),
+    ("eisenstein --k 2 --q-order 0", "--q-order >= 1"),
+    ("eisenstein --k 2 --q-order 513", f"--q-order <= {MAX_Q_ORDER}"),
+    ("witten-class --roots 1 --dim 4 --q-order 0", "--q-order >= 1"),
+    ("witten-class --roots 1 --dim 4 --q-order 20000", f"--q-order <= {MAX_Q_ORDER}"),
     ("localize --problem {p} --tolerance nan", "--tolerance"),
     ("localize --problem {p} --tolerance -1", "--tolerance"),
     ("localize --problem {p} --tolerance 0", "--tolerance"),
@@ -467,6 +471,9 @@ def test_genus_rejects_an_incomplete_descriptor_at_once(capsys, tmp_path, dim, n
     ({"weight": 4, "min_exp": 0, "coeffs": ["1", "240"], "order": 1000000}, "exceeds"),
     ({"weight": 4, "min_exp": 0, "coeffs": ["1", "240"], "order": MAX_Q_ORDER + 1}, "exceeds"),
     ({"weight": 1000000, "min_exp": 0, "coeffs": ["1"], "order": 10}, "too small"),
+    # no valid coefficient at all: the order is checked before the zero shortcut
+    ({"weight": 4, "min_exp": 0, "coeffs": [], "order": 0}, "too small"),
+    ({"weight": 4, "min_exp": 5, "coeffs": ["1", "2"], "order": 3}, "too small"),
 ])
 def test_decompose_rejects_a_series_too_large_to_solve(capsys, tmp_path, record, named):
     path = tmp_path / "series.json"

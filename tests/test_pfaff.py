@@ -23,6 +23,7 @@ from ellgenus.pfaff import (
     pfaffian,
     product_exponential_form,
     regularized_product,
+    root_entries,
 )
 from ellgenus.qmod import z2plus_points, z2plus_shell
 from ellgenus.scalars import QI, bernoulli
@@ -552,6 +553,22 @@ def test_block_kernels_match_the_dense_oracles(dense_determinant, dense_pf_elimi
         paired = _paired_skew_block(idx, model, tau, mode)
         assert _items(_pf_eliminate([row[:] for row in paired])) == _items(
             dense_pf_eliminate(paired))
+
+
+@pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
+def test_product_builds_the_root_entries_once(monkeypatch, mode):
+    model = ChernRootModel(2, 8)
+    tau = QI(Fraction(1, 4), Fraction(3, 2))
+    expect = regularized_product(model, 2, tau, mode, verify_routes=True)
+    calls = []
+    roots = model.roots
+    monkeypatch.setattr(model, "roots", lambda m=dga.RATIONAL: calls.append(m) or roots(m))
+    got = regularized_product(model, 2, tau, mode, verify_routes=True)
+    assert calls == [mode]  # not once per block: 12 blocks at shell bound 2
+    assert _items(got) == _items(expect)
+    for idx in ((1, 0), (2, -1)):
+        assert _items(block_norm_pfaffian(idx, model, tau, mode, True, root_entries(model, mode))) \
+            == _items(block_norm_pfaffian(idx, model, tau, mode))
 
 
 # Entries with an invertible-looking scalar part that are no units: a nan or

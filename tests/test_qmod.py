@@ -113,6 +113,159 @@ def test_qseries_render():
     assert QSeries.zero().render() == "0"
 
 
+# Integer-vector QSeries against the dict-of-Fraction oracle (tests/conftest.py).
+
+DENOMINATORS = (1, 1, 2, 3, 4, 5, 7, 12, 691, 3617)
+
+
+def _random_coeffs(rng, lo, length):
+    """Mixed denominators, a share of zeros, and an occasional huge numerator."""
+    coeffs = {}
+    for e in range(lo, lo + length):
+        if rng.random() < 0.2:
+            continue
+        num = rng.randint(-60, 60) * (10**30 if rng.random() < 0.1 else 1)
+        coeffs[e] = Fraction(num, rng.choice(DENOMINATORS))
+    return coeffs
+
+
+def _random_pair(rng, fraction_qseries, weight=2):
+    """The same seeded series as a QSeries and as its oracle: negative min_exp,
+    order None, orders cutting into the coefficients and zero series included."""
+    lo = rng.randint(-3, 3)
+    length = rng.choice([0, 1, 2, 5, 9])
+    coeffs = _random_coeffs(rng, lo, length)
+    order = rng.choice([None, lo + length + rng.randint(-2, 3)])
+    return QSeries(weight, coeffs, order), fraction_qseries(weight, coeffs, order)
+
+
+def _assert_matches(series, ref):
+    assert dict(series.coeffs) == ref.coeffs
+    assert all(type(c) is Fraction for c in series.coeffs.values())
+    assert (series.weight, series.order, series.min_exp) == (ref.weight, ref.order, ref.min_exp)
+    assert series.compact() == ref.compact()
+    assert series.to_record() == ref.to_record()
+    assert series.render() == ref.render()
+    assert hash(series) == ref.hash()
+    assert bool(series) == bool(ref.coeffs)
+    for q in (0.3 - 0.2j, -0.7):  # bit for bit: one rounded n/d per coefficient
+        assert series.evaluate(q) == ref.evaluate(q)
+    for e in range(series.min_exp - 2, series.min_exp + 12):
+        if series.order is None or e < series.order:
+            assert series[e] == ref.coeffs.get(e, 0)
+    assert QSeries(ref.weight, ref.coeffs, ref.order) == series
+    assert QSeries.parse_compact(series.compact()) == series
+
+
+def test_qseries_arithmetic_matches_the_fraction_oracle(fraction_qseries):
+    rng = Random(20)
+    for _ in range(150):
+        (a, ra), (b, rb) = _random_pair(rng, fraction_qseries), _random_pair(rng, fraction_qseries)
+        _assert_matches(a, ra)
+        _assert_matches(a + b, ra + rb)
+        _assert_matches(a - b, ra - rb)
+        _assert_matches(-a, -ra)
+        _assert_matches(a * b, ra * rb)
+        for c in (0, 3, -1, Fraction(-5, 12), Fraction(691, 2)):
+            _assert_matches(a * c, ra * c)
+            _assert_matches(c * a, ra * c)
+        cut = rng.randint(-4, 10)
+        _assert_matches(a.truncate(cut), ra.truncate(cut))
+        if ra.coeffs:
+            _assert_matches(a.inverse(), ra.inverse())
+
+
+def test_qseries_equality_matches_the_fraction_oracle(fraction_qseries):
+    rng = Random(21)
+    pairs = [_random_pair(rng, fraction_qseries, weight=rng.choice([2, 4])) for _ in range(40)]
+    pairs += [(QSeries(w, {}, n), fraction_qseries(w, {}, n)) for w, n in ((2, None), (4, 3), (0, -1))]
+    pairs += [(s.truncate(s.order + 1 if s.order is not None else 4), r.truncate(
+        r.order + 1 if r.order is not None else 4)) for s, r in pairs[:10]]
+    for a, ra in pairs:
+        for b, rb in pairs:
+            expect = (not ra.coeffs and not rb.coeffs) or (
+                (ra.weight, ra.coeffs, ra.order) == (rb.weight, rb.coeffs, rb.order))
+            assert (a == b) == expect
+            if expect:
+                assert hash(a) == hash(b)
+
+
+def test_qseries_normal_form_is_unique():
+    # the same value reached by different routes has the same vector
+    a = QSeries(2, {0: Fraction(1, 6), 1: Fraction(1, 3)}, 5) * 6
+    b = QSeries(2, {0: 1, 1: 2}, 5)
+    assert a == b and a._num == b._num == [1, 2] and a._den == b._den == 1
+    c = QSeries(2, {0: Fraction(1, 2), 3: Fraction(1, 4)}, None) - QSeries(2, {0: Fraction(1, 2)}, None)
+    assert (c.min_exp, c._num, c._den) == (3, [1], 4)
+
+
+def test_qseries_is_immutable_and_coeffs_read_only():
+    a = eisenstein_q(2, 4)
+    with pytest.raises(AttributeError):
+        a.order = 7
+    with pytest.raises(TypeError):
+        a.coeffs[0] = Fraction(5)
+    assert a.coeffs == {0: 1, 1: 240, 2: 2160, 3: 6720}
+
+
+def test_bareiss_solve_matches_fraction_gauss_jordan(fraction_solve_exact):
+    rng = Random(22)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        nrows = ncols + rng.randint(0, 4)
+        matrix = [[rng.randint(-9, 9) * (rng.random() < 0.7) for _ in range(ncols)]
+                  for _ in range(nrows)]
+        x = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(ncols)]
+        scale = math.lcm(*(v.denominator for v in x))
+        rhs = [int(sum(a * v for a, v in zip(row, x)) * scale) for row in matrix]
+        if rng.random() < 0.3:
+            rhs[rng.randrange(nrows)] += rng.choice((-1, 1))  # usually inconsistent
+        try:
+            expect = fraction_solve_exact(matrix, rhs)
+        except ValueError:
+            with pytest.raises(NoDecomposition, match="underdetermined"):
+                qmod._solve_exact(matrix, rhs)
+        else:
+            assert qmod._solve_exact(matrix, rhs) == expect
+
+
+def test_bareiss_solve_inconsistent_and_underdetermined(fraction_solve_exact):
+    assert qmod._solve_exact([[1, 1], [1, 1], [2, 2]], [1, 2, 3]) is None
+    assert fraction_solve_exact([[1, 1], [1, 1], [2, 2]], [1, 2, 3]) is None
+    for matrix, rhs in (([[1, 2], [2, 4], [3, 6]], [1, 2, 3]), ([[1, 2, 3]], [6]),
+                        ([[0, 1], [0, 2]], [1, 2])):
+        with pytest.raises(ValueError):
+            fraction_solve_exact(matrix, rhs)
+        with pytest.raises(NoDecomposition, match="underdetermined"):
+            qmod._solve_exact(matrix, rhs)
+    # a zero leading entry needs a row swap
+    assert qmod._solve_exact([[0, 3], [2, 1], [4, 5]], [3, 3, 9]) == [1, 1]
+
+
+def test_e_monomials_expand_each_entry_once(monkeypatch):
+    calls = []
+    original = qmod.eisenstein_q
+    monkeypatch.setattr(qmod, "eisenstein_q", lambda k, n: calls.append(k) or original(k, n))
+    table = qmod.EMonomials(7)
+    e = {k: original(k, 7) for k in (1, 2, 3)}
+    assert table[(1, 1, 2)] == e[1] * e[1] * e[2]
+    assert table[(1, 2, 3)] == e[1] * e[2] * e[3]
+    assert table[(1, 1, 2)] is table[(1, 1, 2)]
+    assert table[()] == QSeries.constant(1) and table[()].order is None
+    assert sorted(calls) == [1, 2, 3]
+    assert set(table) == {(), (1,), (1, 1), (1, 1, 2), (1, 2), (1, 2, 3), (2,), (3,)}
+
+
+def test_decompose_reads_its_columns_from_a_shared_table():
+    table = qmod.EMonomials(8)
+    f = table[(1, 1, 2)] * 3 + table[(2, 2)] * Fraction(-1, 7)
+    dec = quasi_modular_decompose(f, table)
+    assert dec.coeffs == {(2, 1, 0): 3, (0, 2, 0): Fraction(-1, 7)}
+    assert dec == quasi_modular_decompose(f)
+    with pytest.raises(ValueError, match="table at order 9"):
+        quasi_modular_decompose(f, qmod.EMonomials(9))
+
+
 # ---------------------------------------------------------------------------
 # Lattice sums
 
@@ -349,6 +502,18 @@ def test_decompose_round_trip_random_polynomials():
 def test_weight_monomial_count_is_the_closed_form():
     for weight in range(-3, 200):
         assert weight_monomial_count(weight) == len(weight_monomials(weight))
+
+
+def test_decompose_checks_the_order_before_the_zero_shortcut():
+    # a series with no valid coefficient has nothing to decompose
+    for f in (QSeries(4, {}, 0), QSeries(4, {5: 1, 6: 2}, 3)):
+        with pytest.raises(ValueError, match="too small"):
+            quasi_modular_decompose(f)
+    with pytest.raises(NoDecomposition, match="definite order"):
+        quasi_modular_decompose(QSeries.zero(4))
+    # a zero series of sufficient order is the zero polynomial
+    assert quasi_modular_decompose(QSeries(4, {}, 5)).coeffs == {}
+    assert quasi_modular_decompose(QSeries(4, {9: 1}, 5)).coeffs == {}
 
 
 def test_decompose_checks_the_order_before_listing_monomials():

@@ -236,6 +236,20 @@ def test_modularity_detects_e2_square():
     assert (2, 0, 0) in rep["decomposition"].coeffs
 
 
+def test_modularity_check_expands_each_eisenstein_series_once(monkeypatch):
+    # the genus and its decomposition read one E-monomial table
+    from ellgenus import qmod
+
+    calls = []
+    original = qmod.eisenstein_q
+    monkeypatch.setattr(qmod, "eisenstein_q", lambda k, n: calls.append((k, n)) or original(k, n))
+    numbers = {part: Fraction(len(part) + sum(part), 3) for part in _partitions(5)}
+    rep = string_modularity_check(ManifoldDescriptor(20, numbers), q_order=6)
+    # weight 10 has 5 monomials in Ẽ2, Ẽ4, Ẽ6, so the solve needs order 7 > 6
+    assert sorted(calls) == [(k, 7) for k in range(1, 6)]
+    assert rep["verdict"] == "quasi-modular"
+
+
 def test_genus_multiplicativity():
     d1 = ManifoldDescriptor(4, {(1,): 5})
     d2 = ManifoldDescriptor(4, {(1,): -7})
