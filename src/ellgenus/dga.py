@@ -7,7 +7,9 @@ symbol (``PiScalar``), rational q-series (``QSeries``), or complex floats.
 the types that inject into it (a float only into complex mode), the scalar
 inverse, and the text form used by ``render`` and ``parse_element``.  Every
 scalar type is falsy exactly when it is zero, so ``not s`` is the zero test in
-every mode.
+every mode.  A sum of many elements (``Algebra.sum``) adds the pieces in order
+into one dict, so it equals the chain of ``+`` from zero, term for term and in
+insertion order.
 
 Monomials are sorted tuples of (generator index, exponent) with generators
 ordered lexicographically by name; the Koszul sign of a product is the parity
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, takewhile
 from typing import Callable
 
 from .qmod import QSeries
@@ -210,6 +213,15 @@ class Algebra:
     def zero(self, mode=RATIONAL) -> "Element":
         return Element(self, mode, {})
 
+    def sum(self, pieces, mode=RATIONAL) -> "Element":
+        """The sum of ``pieces``, added in order into one dict: equal, item for
+        item and in insertion order, to the left fold of ``+`` from zero."""
+        out = Element(self, mode, {})
+        zero = _ZERO[mode]
+        for piece in pieces:
+            _add_terms(out.terms, out._check(piece).terms, zero)
+        return out
+
     def one(self, mode=RATIONAL) -> "Element":
         return self.scalar(1, mode)
 
@@ -290,13 +302,7 @@ class Element:
     def __add__(self, other):
         other = self._check(other)
         out = dict(self.terms)
-        zero = _ZERO[self.mode]
-        for m, c in other.terms.items():
-            s = out.get(m, zero) + c
-            if not s:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _add_terms(out, other.terms, _ZERO[self.mode])
         return Element(self.algebra, self.mode, out)
 
     __radd__ = __add__
@@ -400,6 +406,16 @@ class Element:
         return f"<{self.mode} element: {self.render()}>"
 
 
+def _add_terms(out: dict, terms: dict, zero) -> None:
+    """Add ``terms`` into ``out`` in order, dropping a monomial whose sum is zero."""
+    for m, c in terms.items():
+        s = out.get(m, zero) + c
+        if not s:
+            out.pop(m, None)
+        else:
+            out[m] = s
+
+
 def _koszul_odd(odd_a: int, odd_b: int) -> int:
     """1 when moving b's odd generators past a's to their sorted places is an odd permutation."""
     swaps = 0
@@ -446,23 +462,29 @@ def parse_element(algebra: Algebra, mode, text: str) -> Element:
 def differential(a: Element) -> Element:
     """Graded Leibniz extension of the generators' differentials."""
     alg = a.algebra
-    out = alg.zero(a.mode)
-    for mono, c in a.terms.items():
-        prefix_parity = 0
-        for pos, (i, e) in enumerate(mono):
-            g = alg.gens[i]
-            di = alg.d_image(i, a.mode)
-            if di is not None and not di.is_zero():
-                head = alg.element({mono[:pos]: 1}, a.mode)
-                tail_mono = ((i, e - 1),) if e > 1 else ()
-                tail = alg.element({tail_mono + mono[pos + 1 :]: 1}, a.mode)
-                piece = head * di * tail
-                scale = coerce(a.mode, e) * c
-                if prefix_parity:
-                    scale = -scale
-                out = out + piece * scale
-            prefix_parity = (prefix_parity + e * g.degree) % 2
-    return out
+
+    def pieces():
+        for mono, c in a.terms.items():
+            prefix_parity = 0
+            for pos, (i, e) in enumerate(mono):
+                g = alg.gens[i]
+                di = alg.d_image(i, a.mode)
+                if di is not None and not di.is_zero():
+                    head = alg.element({mono[:pos]: 1}, a.mode)
+                    tail_mono = ((i, e - 1),) if e > 1 else ()
+                    tail = alg.element({tail_mono + mono[pos + 1 :]: 1}, a.mode)
+                    piece = head * di * tail
+                    scale = coerce(a.mode, e) * c
+                    if prefix_parity:
+                        scale = -scale
+                    yield piece * scale
+                prefix_parity = (prefix_parity + e * g.degree) % 2
+
+    return alg.sum(pieces(), a.mode)
+
+
+def _nonzero(a: Element) -> bool:
+    return not a.is_zero()
 
 
 def exp_nilpotent(a: Element) -> Element:
@@ -472,14 +494,9 @@ def exp_nilpotent(a: Element) -> Element:
     if not a.is_zero() and a.min_form_degree() < 1:
         raise ValueError("exp argument must have zero degree-0 component")
     alg = a.algebra
-    out = alg.one(a.mode)
-    term = alg.one(a.mode)
-    for n in range(1, alg.trunc + 1):
-        term = term * a * Fraction(1, n)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    terms = accumulate(range(1, alg.trunc + 1), lambda t, n: t * a * Fraction(1, n),
+                       initial=alg.one(a.mode))  # a^n / n!
+    return alg.sum(takewhile(_nonzero, terms), a.mode)
 
 
 def log_unital(u: Element) -> Element:
@@ -490,14 +507,9 @@ def log_unital(u: Element) -> Element:
     if not n.is_zero() and n.min_form_degree() < 1:
         raise ValueError("log argument must be unital with nilpotent remainder")
     alg = u.algebra
-    out = alg.zero(u.mode)
-    power = alg.one(u.mode)
-    for k in range(1, alg.trunc + 1):
-        power = power * n
-        if power.is_zero():
-            break
-        out = out + power * Fraction((-1) ** (k + 1), k)
-    return out
+    powers = accumulate(range(alg.trunc), lambda p, _: p * n, initial=alg.one(u.mode))
+    nonzero = takewhile(_nonzero, islice(powers, 1, None))  # n^k for k >= 1
+    return alg.sum((p * Fraction((-1) ** (k + 1), k) for k, p in enumerate(nonzero, 1)), u.mode)
 
 
 def unit_inverse(a: Element) -> Element:
@@ -515,14 +527,8 @@ def unit_inverse(a: Element) -> Element:
         raise ZeroDivisionError("non-nilpotent remainder: cannot invert")
     alg = a.algebra
     neg_n = -n
-    out = alg.one(a.mode)
-    power = alg.one(a.mode)
-    for _ in range(1, alg.trunc + 1):
-        power = power * neg_n
-        if power.is_zero():
-            break
-        out = out + power
-    return out * cinv
+    powers = accumulate(range(alg.trunc), lambda p, _: p * neg_n, initial=alg.one(a.mode))
+    return alg.sum(takewhile(_nonzero, powers), a.mode) * cinv
 
 
 def _invert_unit_monomial(a: Element) -> Element:
@@ -566,17 +572,31 @@ def _mono_divides(ma, mb):
     return tuple(sorted(out.items()))
 
 
-def _prepare_divisor(g: Element):
+def _divide(a: Element, g: Element) -> tuple[Element, Element]:
+    """Division in lex order: (quotient, remainder) with a = quotient*g + remainder
+    and no remainder monomial divisible by g's lead monomial."""
+    g = a._check(g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero element")
     if not g.is_even():
         raise NotDivisible("divisor must be even")
-    for mono, _ in g.terms.items():
-        if any(e < 0 for _, e in mono):
-            raise NotDivisible("divisor with negative exponents unsupported")
-    alg = g.algebra
+    if any(e < 0 for mono in g.terms for _, e in mono):
+        raise NotDivisible("divisor with negative exponents unsupported")
+    alg, mode = a.algebra, a.mode
     lead = _lex_max(alg, g.terms)
-    return lead, g.terms[lead]
+    lc_inv = MODES[mode].inverse(g.terms[lead])
+    zero = _ZERO[mode]
+    rest, quotient, remainder = dict(a.terms), {}, {}
+    while rest:
+        m = _lex_max(alg, rest)
+        quot_mono = _mono_divides(lead, m)
+        if quot_mono is None:
+            remainder[m] = rest.pop(m)
+        else:
+            t = alg.element({quot_mono: rest[m] * lc_inv}, mode)
+            _add_terms(quotient, t.terms, zero)
+            _add_terms(rest, (-(t * g)).terms, zero)
+    return Element(alg, mode, quotient), Element(alg, mode, remainder)
 
 
 def divide_exact(a: Element, g: Element) -> Element:
@@ -585,42 +605,15 @@ def divide_exact(a: Element, g: Element) -> Element:
     The divisor must be even with a unit lex-leading coefficient (a single
     closed even generator times a unit in the intended uses).
     """
-    g = a._check(g)
-    alg = a.algebra
-    lead, lc = _prepare_divisor(g)
-    lc_inv = MODES[a.mode].inverse(lc)
-    q = alg.zero(a.mode)
-    r = a
-    while not r.is_zero():
-        m = _lex_max(alg, r.terms)
-        quot_mono = _mono_divides(lead, m)
-        if quot_mono is None:
-            raise NotDivisible(f"term {m} lacks the divisor factor")
-        t = alg.element({quot_mono: r.terms[m] * lc_inv}, a.mode)
-        q = q + t
-        r = r - t * g
-    return q
+    quotient, remainder = _divide(a, g)
+    if not remainder.is_zero():
+        raise NotDivisible(f"term {next(iter(remainder.terms))} lacks the divisor factor")
+    return quotient
 
 
 def impose_relation(a: Element, rel: Element) -> Element:
     """Normal form of a modulo the ideal (rel): division remainder in lex order."""
-    rel = a._check(rel)
-    alg = a.algebra
-    lead, lc = _prepare_divisor(rel)
-    lc_inv = MODES[a.mode].inverse(lc)
-    remainder = alg.zero(a.mode)
-    r = a
-    while not r.is_zero():
-        m = _lex_max(alg, r.terms)
-        quot_mono = _mono_divides(lead, m)
-        if quot_mono is None:
-            keep = alg.element({m: r.terms[m]}, a.mode)
-            remainder = remainder + keep
-            r = r - keep
-        else:
-            t = alg.element({quot_mono: r.terms[m] * lc_inv}, a.mode)
-            r = r - t * rel
-    return remainder
+    return _divide(a, rel)[1]
 
 
 def substitute(a: Element, images: dict) -> Element:
@@ -637,16 +630,18 @@ def substitute(a: Element, images: dict) -> Element:
             raise ValueError("substitution is defined for even generators only")
         el = a._check(el) if isinstance(el, Element) else alg.scalar(el, a.mode)
         img[i] = el
-    out = alg.zero(a.mode)
-    for mono, c in a.terms.items():
-        factor = alg.scalar(c, a.mode)
-        for i, e in mono:
-            if i in img:
-                piece = img[i] ** e
-            else:
-                piece = alg.element({((i, e),): 1}, a.mode)
-            factor = factor * piece
-            if factor.is_zero():
-                break
-        out = out + factor
-    return out
+
+    def images():
+        for mono, c in a.terms.items():
+            factor = alg.scalar(c, a.mode)
+            for i, e in mono:
+                if i in img:
+                    piece = img[i] ** e
+                else:
+                    piece = alg.element({((i, e),): 1}, a.mode)
+                factor = factor * piece
+                if factor.is_zero():
+                    break
+            yield factor
+
+    return alg.sum(images(), a.mode)

@@ -16,6 +16,7 @@ the Pontryagin numbers of a ManifoldDescriptor.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 from . import dga
@@ -70,10 +71,7 @@ class ChernRootModel:
 
     def power_sum(self, k: int, mode=dga.RATIONAL) -> Element:
         """s_k = sum_j x_j^{2k}."""
-        out = self.algebra.zero(mode)
-        for x in self.roots(mode):
-            out = out + x ** (2 * k)
-        return out
+        return self.algebra.sum((x ** (2 * k) for x in self.roots(mode)), mode)
 
     def curvature(self, mode=dga.PI):
         """The 2r x 2r skew matrix with blocks [[0, 2 pi x_j], [-2 pi x_j, 0]]."""
@@ -96,23 +94,14 @@ def _two_pi(mode):
 
 def _mat_mul(a, b):
     n = len(a)
-    zero = a[0][0].algebra.zero(a[0][0].mode)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k].is_zero():
-                continue
-            for j in range(n):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
+    alg, mode = a[0][0].algebra, a[0][0].mode
+    return [[alg.sum((a[i][k] * b[k][j] for k in range(n)
+                      if not a[i][k].is_zero() and not b[k][j].is_zero()), mode)
+             for j in range(n)] for i in range(n)]
 
 
 def _mat_trace(a):
-    out = a[0][0].algebra.zero(a[0][0].mode)
-    for i in range(len(a)):
-        out = out + a[i][i]
-    return out
+    return a[0][0].algebra.sum((a[i][i] for i in range(len(a))), a[0][0].mode)
 
 
 def pontryagin_character_component(model: ChernRootModel, k: int, mode=dga.RATIONAL) -> Element:
@@ -199,17 +188,13 @@ def pontryagin_algebra(dim: int) -> Algebra:
     return Algebra(gens, trunc=dim)
 
 
-def power_sum_element(alg: Algebra, k: int, table=None, mode=dga.RATIONAL) -> Element:
+def power_sum_element(alg: Algebra, k: int, table=None) -> Element:
     """s_k as an element of a Pontryagin algebra."""
     table = table or power_sums_to_pontryagin(k)
-    out = alg.zero(mode)
-    for partition, coeff in table[k].items():
-        mono = {}
-        for i in partition:
-            idx = alg.index[f"p{i}"]
-            mono[idx] = mono.get(idx, 0) + 1
-        out = out + alg.element({tuple(sorted(mono.items())): coeff}, mode)
-    return out
+    return alg.sum(
+        alg.element({tuple(Counter(alg.index[f"p{i}"] for i in partition).items()): coeff})
+        for partition, coeff in table[k].items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,13 @@ def _pf_matchings(matrix, idx) -> Element:
         return alg.one(mode)
     i0 = idx[0]
     rest = idx[1:]
-    out = alg.zero(mode)
-    for t, jt in enumerate(rest):
-        entry = matrix[i0][jt]
-        if entry.is_zero():
-            continue
-        sub = rest[:t] + rest[t + 1 :]
-        term = entry * _pf_matchings(matrix, sub)
-        out = out + (term if t % 2 == 0 else -term)
-    return out
+    return alg.sum((_signed(t, matrix[i0][jt] * _pf_matchings(matrix, rest[:t] + rest[t + 1 :]))
+                    for t, jt in enumerate(rest) if not matrix[i0][jt].is_zero()), mode)
+
+
+def _signed(t, term):
+    """(-1)^t term, by negation rather than a scalar product."""
+    return term if t % 2 == 0 else -term
 
 
 def _pf_eliminate(m, context=None) -> Element:
@@ -215,14 +213,9 @@ def _det_laplace(m) -> Element:
         key = (row, cols)
         if key in cache:
             return cache[key]
-        out = alg.zero(mode)
-        for t, c in enumerate(cols):
-            if m[row][c].is_zero():
-                continue
-            term = m[row][c] * minor(row + 1, cols[:t] + cols[t + 1 :])
-            out = out + (term if t % 2 == 0 else -term)
-        cache[key] = out
-        return out
+        cache[key] = alg.sum((_signed(t, m[row][c] * minor(row + 1, cols[:t] + cols[t + 1 :]))
+                              for t, c in enumerate(cols) if not m[row][c].is_zero()), mode)
+        return cache[key]
 
     return minor(0, tuple(range(n)))
 
@@ -379,14 +372,13 @@ def product_exponential_form(model: ChernRootModel, shell_bound: int, tau, mode=
     truncation (nilpotency); over the symmetrized index set the exponent reads
     -sum_k beta^{2k} s_k P^sym_{2k} / (2k).
     """
-    arg = model.algebra.zero(mode)
     beta = model.beta(mode)
     numeric = mode == dga.COMPLEX
     sums = z2plus_power_sums(model.dim // 4, shell_bound, complex(tau) if numeric else _tau_qi(tau))
-    for k, p2k in enumerate(sums, 1):
-        scal = p2k * (-1.0 / k) if numeric else dga.coerce(mode, p2k * QI(Fraction(-1, k)))
-        arg = arg + model.power_sum(k, mode) * beta ** (2 * k) * scal
-    return dga.exp_nilpotent(arg)
+    scales = (p2k * (-1.0 / k) if numeric else dga.coerce(mode, p2k * QI(Fraction(-1, k)))
+              for k, p2k in enumerate(sums, 1))
+    terms = (model.power_sum(k, mode) * beta ** (2 * k) * scal for k, scal in enumerate(scales, 1))
+    return dga.exp_nilpotent(model.algebra.sum(terms, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +422,9 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
     if mode == dga.COMPLEX:
         n = np.arange(1, mode_bound + 1, dtype=np.float64)
         c = 1.0 / (4 * math.pi**2 * n * n)
-        arg = alg.zero(mode)
-        for k in range(1, model.dim // 4 + 1):
-            arg = arg + model.power_sum(k, mode) * ((-1) ** k * float(np.sum(c**k)) / k)
-        return dga.exp_nilpotent(arg)
+        terms = (model.power_sum(k, mode) * ((-1) ** k * float(np.sum(c**k)) / k)
+                 for k in range(1, model.dim // 4 + 1))
+        return dga.exp_nilpotent(alg.sum(terms, mode))
     acc = alg.one(mode)
     for n in range(1, mode_bound + 1):
         dplus = determinant(a_hat_mode_matrix(model, n, mode, +1))
@@ -446,8 +437,7 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
 
 def a_hat_class(model: ChernRootModel, mode=dga.RATIONAL) -> Element:
     """Closed-form limit prod_j (x_j/2)/sinh(x_j/2) = exp(-sum_k B_{2k} s_k/(2k (2k)!))."""
-    arg = model.algebra.zero(mode)
-    for k in range(1, model.dim // 4 + 1):
-        coeff = Fraction(-1, 2 * k * math.factorial(2 * k)) * bernoulli(2 * k)
-        arg = arg + model.power_sum(k, mode) * coeff
-    return dga.exp_nilpotent(arg)
+    coeffs = (Fraction(-1, 2 * k * math.factorial(2 * k)) * bernoulli(2 * k)
+              for k in range(1, model.dim // 4 + 1))
+    terms = (model.power_sum(k, mode) * coeff for k, coeff in enumerate(coeffs, 1))
+    return dga.exp_nilpotent(model.algebra.sum(terms, mode))

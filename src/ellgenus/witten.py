@@ -102,13 +102,10 @@ def witten_class_symbolic(model: ChernRootModel) -> Element:
     """exp(sum_k ph_k beta^{2k} E{2k}) in the model's algebra, exact rationals."""
     alg = model.algebra
     beta = model.beta()
-    arg = alg.zero()
-    for k in range(1, model.dim // 4 + 1):
-        ph = pontryagin_character_component(model, k)
-        if ph.is_zero():
-            continue
-        arg = arg + ph * beta ** (2 * k) * alg.gen(f"E{2 * k}")
-    return exp_nilpotent(arg)
+    phs = ((k, pontryagin_character_component(model, k)) for k in range(1, model.dim // 4 + 1))
+    return exp_nilpotent(
+        alg.sum(ph * beta ** (2 * k) * alg.gen(f"E{2 * k}") for k, ph in phs if not ph.is_zero())
+    )
 
 
 def witten_class(model: ChernRootModel, q_order: int) -> Element:
@@ -127,18 +124,20 @@ def witten_class_at_partial_sums(model: ChernRootModel, shell_bound: int, tau) -
     alg = model.algebra
     beta = model.beta(dga.PI)
     tau = tau if isinstance(tau, QI) else QI(Fraction(tau.real), Fraction(tau.imag))
-    arg = alg.zero(dga.PI)
-    for k, part in enumerate(z2plus_power_sums(model.dim // 4, shell_bound, tau), 1):
-        ph = pontryagin_character_component(model, k, dga.PI)
-        if ph.is_zero():
-            continue
-        # (2 pi i)^{-2k} = (-1)^k / (4^k pi^{2k})
-        scal = PiScalar.pi_power(-2 * k, part * QI(Fraction((-1) ** k, 4**k)))
-        arg = arg + ph * beta ** (2 * k) * dga.coerce(dga.PI, scal)
-    return exp_nilpotent(arg)
+
+    def terms():
+        for k, part in enumerate(z2plus_power_sums(model.dim // 4, shell_bound, tau), 1):
+            ph = pontryagin_character_component(model, k, dga.PI)
+            if ph.is_zero():
+                continue
+            # (2 pi i)^{-2k} = (-1)^k / (4^k pi^{2k})
+            scal = PiScalar.pi_power(-2 * k, part * QI(Fraction((-1) ** k, 4**k)))
+            yield ph * beta ** (2 * k) * dga.coerce(dga.PI, scal)
+
+    return exp_nilpotent(alg.sum(terms(), dga.PI))
 
 
-def rescale_beta(el: Element, factor_num, factor_den=None) -> Element:
+def rescale_beta(el: Element, factor) -> Element:
     """Multiply each monomial's coefficient by factor^ (its b-exponent)."""
     alg = el.algebra
     ib = alg.index["b"]
@@ -146,7 +145,7 @@ def rescale_beta(el: Element, factor_num, factor_den=None) -> Element:
     for mono, c in el.terms.items():
         be = next((e for i, e in mono if i == ib), 0)
         if be:
-            c = c * factor_num**be
+            c = c * factor**be
         out[mono] = c
     return alg.element(out, el.mode)
 
@@ -193,12 +192,13 @@ def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
             s_products[part] = s_products[part[:1]] * s_product(part[1:])
         return s_products[part]
 
-    top = alg.zero()
-    for part in _partitions(kmax):
+    def term(part):
         mult = Counter(part)
         e_part = tuple((alg.index[f"E{2 * k}"], m) for k, m in mult.items())
         denominator = math.prod(k**m * math.factorial(m) for k, m in mult.items())
-        top = top + s_product(part) * alg.element({e_part: Fraction(1, denominator)})
+        return s_product(part) * alg.element({e_part: Fraction(1, denominator)})
+
+    top = alg.sum(map(term, _partitions(kmax)))
     return integrate_symbolic(descriptor, top * alg.gen("b", power=dim // 2))
 
 
@@ -334,18 +334,16 @@ def product_descriptor(d1: ManifoldDescriptor, d2: ManifoldDescriptor) -> Manifo
     return ManifoldDescriptor(dim, numbers)
 
 
-def _partitions(k: int):
+def _partitions(k: int, largest: int | None = None):
+    """Partitions of k into parts at most ``largest`` (default k), as decreasing
+    tuples, largest first part first."""
     if k == 0:
         yield ()
         return
-    def rec(rest, maxpart):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, maxpart), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-    yield from rec(k, k)
+    largest = k if largest is None else min(k, largest)
+    for first in range(largest, 0, -1):
+        for tail in _partitions(k - first, first):
+            yield (first,) + tail
 
 
 def _partition_count_exceeds(k: int, n: int) -> bool:

@@ -556,3 +556,100 @@ def test_unit_inverse_of_a_scalar_matches_the_series(series_unit_inverse, mode):
             got, expect = unit_inverse(a), series_unit_inverse(a)
             assert [(m, compact(v)) for m, v in got.terms.items()] == [
                 (m, compact(v)) for m, v in expect.terms.items()]
+
+
+# ---------------------------------------------------------------------------
+# Algebra.sum against the left fold of +, and the shared division loop
+
+
+def _fold(alg, pieces, mode):
+    out = alg.zero(mode)
+    for piece in pieces:
+        out = out + piece
+    return out
+
+
+def _random_pieces(alg, rng, mode, count):
+    return [
+        dga.Element(alg, mode, {random_monomial(alg, rng): random_scalar(rng, mode)
+                                for _ in range(rng.randint(0, 6))})
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_sum_equals_the_left_fold_of_add_in_every_mode(mode):
+    """Same terms, same coefficients, same insertion order: complex floats compare with ==."""
+    alg = make_algebra(trunc=8)
+    rng = Random(f"sum:{mode}")
+    for _ in range(30):
+        pieces = _random_pieces(alg, rng, mode, rng.randint(1, 8))
+        pieces += [-p for p in rng.sample(pieces, len(pieces) // 2)]  # some cancel
+        got = alg.sum(pieces, mode)
+        assert (got.algebra, got.mode) == (alg, mode)
+        assert list(got.terms.items()) == list(_fold(alg, pieces, mode).terms.items())
+
+
+def test_sum_moves_a_cancelled_monomial_that_returns_to_the_end():
+    alg = make_algebra()
+    x1, x2, u = alg.gen("x1"), alg.gen("x2"), alg.gen("u")
+    pieces = [x1 * 2, x2, -x1 * 2, u, x1 * 3]
+    got = alg.sum(pieces)
+    assert list(got.terms) == [((alg.index["x2"], 1),), ((alg.index["u"], 1),),
+                               ((alg.index["x1"], 1),)]
+    assert list(got.terms.items()) == list(_fold(alg, pieces, dga.RATIONAL).terms.items())
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_sum_of_nothing_is_the_zero_of_the_mode(mode):
+    alg = make_algebra()
+    got = alg.sum(iter(()), mode)
+    assert got.terms == {} and got.mode == mode and got == alg.zero(mode)
+
+
+def test_sum_rejects_the_pieces_that_add_rejects():
+    alg, other = make_algebra(), make_algebra()
+    foreign = other.gen("x1")
+    with pytest.raises(ValueError, match="different algebras"):
+        alg.gen("x2") + foreign
+    with pytest.raises(ValueError, match="different algebras"):
+        alg.sum([alg.gen("x2"), foreign])
+    wrong_mode = alg.gen("x1", dga.PI)
+    with pytest.raises(ScalarModeMismatch):
+        alg.gen("x2") + wrong_mode
+    with pytest.raises(ScalarModeMismatch):
+        alg.sum([alg.gen("x2"), wrong_mode])
+
+
+@pytest.mark.parametrize("mode", [dga.RATIONAL, dga.PI])
+def test_divide_returns_quotient_and_reduced_remainder(mode):
+    """a == q*g + r, and the lead monomial of g divides no monomial of r."""
+    alg = make_algebra(trunc=8)
+    rng = Random(f"divide:{mode}")
+    x1, x2, u = (alg.gen(n, mode) for n in ("x1", "x2", "u"))
+    for _ in range(30):
+        c1, c2, c3 = (random_scalar(rng, mode) for _ in range(3))
+        g = x1 * x1 * c1 + x2 * x2 * c2 + x1 * x2 * u * c3
+        lead = dga._lex_max(alg, g.terms)  # u·x1·x2: the exponent of u decides first
+        a = dga.Element(alg, mode, {random_monomial(alg, rng): random_scalar(rng, mode)
+                                    for _ in range(rng.randint(0, 10))})
+        for a in (a, a * g, a * g + x2 * u):
+            q, r = dga._divide(a, g)
+            assert q * g + r == a
+            assert all(dga._mono_divides(lead, m) is None for m in r.terms)
+            assert impose_relation(a, g) == r
+
+
+def test_divide_exact_names_the_first_remainder_monomial():
+    alg = p_algebra(trunc=8)
+    with pytest.raises(NotDivisible) as info:
+        divide_exact(alg.gen("H"), alg.gen("p1"))
+    assert str(info.value) == f"term {((alg.index['H'], 1),)} lacks the divisor factor"
+    # u·x1^2 is divisible; subtracting u·p1 leaves u·x2^2 and x1·x2, neither
+    # divisible by x1^2; u·x2^2 is the lex-larger one, so it is met first
+    alg = make_algebra(trunc=8)
+    x1, x2, u = alg.gen("x1"), alg.gen("x2"), alg.gen("u")
+    with pytest.raises(NotDivisible) as info:
+        divide_exact(u * x1**2 + x1 * x2, x1**2 + x2**2)
+    mono = ((alg.index["u"], 1), (alg.index["x2"], 2))
+    assert str(info.value) == f"term {mono} lacks the divisor factor"
