@@ -97,6 +97,17 @@ MAX_K = 400
 MAX_Q_ORDER = 512
 MIN_SERIES_ORDER = 30  # least q-series order of the eisenstein consistency check
 MAX_SERIES_ORDER = 8192  # its cap; k = 1 and k = 2 stay under it at every row-major tau
+MAX_BOUND = 4096  # largest eisenstein --bound: about 2 s at the least Im tau
+# largest _class_terms for witten-class, anomaly and pfaffian-product: anomaly takes
+# 1.6 s at --roots 5 --dim 24 (3683 terms) and 26 s at --roots 6 --dim 32 (47887)
+MAX_CLASS_TERMS = 4096
+# largest E-monomials x --q-order^2 of the q-evaluation: 2 minutes at 9.2e8 (anomaly
+# --roots 1 --dim 84 --q-order 512)
+MAX_SERIES_WORK = 2**24
+MAX_SHELLS = 4096  # largest pfaffian-product --shells: about 3 s at --roots 1 --dim 80
+# largest pfaffian-product block work, (loop blocks + EXACT_BLOCK_COST x exact-check
+# blocks) x roots x dim/4: up to about 0.1 ms a unit
+MAX_BLOCK_WORK, EXACT_BLOCK_COST = 2**16, 64
 
 
 def _series_order(k: int, im: float) -> int:
@@ -131,6 +142,30 @@ def _check_tolerance(tol: float) -> None:
 def _check_q_order(q_order: int) -> None:
     if not 1 <= q_order <= MAX_Q_ORDER:
         raise ValueError(f"need --q-order >= 1 and --q-order <= {MAX_Q_ORDER}, got {q_order}")
+
+
+def _class_terms(roots: int, dim: int) -> int:
+    """Witten-class terms, counted up to just past MAX_CLASS_TERMS without building the
+    class: sum over d <= dim/4 of C(roots - 1 + d, d) monomials in the x_j^2 times the
+    p(d) E-monomials of weight 2d (Euler's pentagonal recurrence); one root: E-monomials."""
+    if roots < 1:
+        return 1
+    p, total = [], 0
+    for d in range(dim // 4 + 1):
+        p.append(sum((-1) ** (k + 1) * p[d - g] for k in range(1, d + 1)
+                     for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= d) if d else 1)
+        total += math.comb(roots - 1 + d, d) * p[d]
+        if total > MAX_CLASS_TERMS:
+            break
+    return total
+
+
+def _check_model_size(roots: int, dim: int, q_order: int = 0) -> None:
+    """Reject a class, or with q_order > 0 its q-evaluation, over its cap before building it."""
+    if _class_terms(roots, dim) > MAX_CLASS_TERMS:
+        raise ValueError(f"--roots {roots} --dim {dim}: over cli.MAX_CLASS_TERMS = {MAX_CLASS_TERMS} terms")
+    if _class_terms(min(roots, 1), dim) * q_order**2 > MAX_SERIES_WORK:
+        raise ValueError(f"--dim {dim} --q-order {q_order}: over cli.MAX_SERIES_WORK = {MAX_SERIES_WORK}")
 
 
 def _tau_exact(text: str) -> QI:
@@ -235,8 +270,8 @@ def _build_parser():
 
 
 def _cmd_eisenstein(args, report: Report) -> int:
-    if not 1 <= args.k <= MAX_K or args.bound < 1:
-        raise ValueError(f"need 1 <= --k <= {MAX_K} and --bound >= 1")
+    if not 1 <= args.k <= MAX_K or not 1 <= args.bound <= MAX_BOUND:
+        raise ValueError(f"need 1 <= --k <= {MAX_K}, --bound >= 1 and --bound <= {MAX_BOUND}")
     _check_q_order(args.q_order)
     tau = _parse_tau(args.tau)
     tol = args.tolerance if args.tolerance is not None else 1e-6
@@ -287,6 +322,7 @@ def _cmd_eisenstein(args, report: Report) -> int:
 
 def _cmd_witten_class(args, report: Report) -> int:
     _check_q_order(args.q_order)
+    _check_model_size(args.roots, args.dim, args.q_order)
     model = ChernRootModel(args.roots, args.dim)
     cls = witten_class(model, args.q_order)
     _config_record(report, args, roots=args.roots, dim=args.dim, q_order=args.q_order)
@@ -347,8 +383,14 @@ def _cmd_decompose(args, report: Report) -> int:
 def _cmd_pfaffian_product(args, report: Report) -> int:
     if args.dim % 4 or args.dim < 4:
         raise ValueError("--dim must be a positive multiple of 4")
-    if args.roots < 1 or args.shells < 1 or args.exact_shells < 0:
-        raise ValueError("need --roots >= 1, --shells >= 1 and --exact-shells >= 0")
+    if args.roots < 1 or not 1 <= args.shells <= MAX_SHELLS or args.exact_shells < 0:
+        raise ValueError(f"need --roots >= 1, --shells >= 1, --shells <= {MAX_SHELLS} and --exact-shells >= 0")
+    _check_model_size(args.roots, args.dim)
+    # 2 S (S + 1) blocks within S shells; the exact check redoes every bound up to E
+    s, e = args.shells, min(args.exact_shells, args.shells)
+    blocks = 2 * s * (s + 1) * (args.roots > 1) + EXACT_BLOCK_COST * 2 * e * (e + 1) * (e + 2) // 3
+    if blocks * args.roots * (args.dim // 4) > MAX_BLOCK_WORK:
+        raise ValueError(f"--shells {s} --exact-shells {e}: block work over cli.MAX_BLOCK_WORK = {MAX_BLOCK_WORK}")
     tau = _parse_tau(args.tau)
     _config_record(
         report, args, roots=args.roots, dim=args.dim, tau=_cpx(tau),
@@ -416,6 +458,7 @@ def _table_bounds(shells: int):
 
 def _cmd_anomaly(args, report: Report) -> int:
     _check_q_order(args.q_order)
+    _check_model_size(args.roots, args.dim, args.q_order)
     model = ChernRootModel(args.roots, args.dim)
     if model.p1().is_zero():
         raise ValueError("the anomaly divides by p1, which is zero here: need --roots >= 1 and --dim >= 4")

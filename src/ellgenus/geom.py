@@ -6,11 +6,13 @@ A ChernRootModel replaces the tangent bundle's curvature by block-diagonal
 
     p1 = -Tr(R^2) / (8 pi^2) = sum_j x_j^2   exactly,
 
-which an invariant test enforces.  Pontryagin-character components come out of
-the trace formula Tr(R^{2k}) / (2k (2 pi i)^{2k}) and land back in exact
-rational coefficients; Newton's identities on the x_j^2 translate the power
-sums into Pontryagin generators so that genus output can be integrated against
-the Pontryagin numbers of a ManifoldDescriptor.
+which an invariant test enforces.  root_blocks is the one layout of such
+blocks, shared with the torus- and circle-mode blocks of ``pfaff``.  The
+Pontryagin character comes from its splitting-principle closed form
+ph_k = s_k / k, s_k = sum_j x_j^{2k}; the tests keep the Chern-Weil trace
+Tr(R^{2k}) / (2k (2 pi i)^{2k}) as its oracle.  Newton's identities on the
+x_j^2 translate the power sums into Pontryagin generators so that genus output
+can be integrated against the Pontryagin numbers of a ManifoldDescriptor.
 """
 
 from __future__ import annotations
@@ -75,14 +77,7 @@ class ChernRootModel:
 
     def curvature(self, mode=dga.PI):
         """The 2r x 2r skew matrix with blocks [[0, 2 pi x_j], [-2 pi x_j, 0]]."""
-        n = 2 * self.r
-        zero = self.algebra.zero(mode)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        for jdx, x in enumerate(self.roots(mode)):
-            entry = x * _two_pi(mode)
-            mat[2 * jdx][2 * jdx + 1] = entry
-            mat[2 * jdx + 1][2 * jdx] = -entry
-        return mat
+        return root_blocks(self.algebra.zero(mode), [x * _two_pi(mode) for x in self.roots(mode)])
 
     def beta(self, mode=dga.RATIONAL) -> Element:
         return self.algebra.gen("b", mode)
@@ -92,39 +87,27 @@ def _two_pi(mode):
     return dga.coerce(mode, PiScalar.pi_power(1, QI(2)))
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    alg, mode = a[0][0].algebra, a[0][0].mode
-    return [[alg.sum((a[i][k] * b[k][j] for k in range(n)
-                      if not a[i][k].is_zero() and not b[k][j].is_zero()), mode)
-             for j in range(n)] for i in range(n)]
-
-
-def _mat_trace(a):
-    return a[0][0].algebra.sum((a[i][i] for i in range(len(a))), a[0][0].mode)
+def root_blocks(diag: Element, entries) -> list:
+    """The 2r x 2r matrix, r = len(entries), with diag on the diagonal and each
+    entry e_j in the block [[diag, e_j], [-e_j, diag]] of roots 2j, 2j + 1."""
+    zero = diag.algebra.zero(diag.mode)
+    size = 2 * len(entries)
+    mat = [[diag if i == j else zero for j in range(size)] for i in range(size)]
+    for jdx, e in enumerate(entries):
+        mat[2 * jdx][2 * jdx + 1] = zero + e
+        mat[2 * jdx + 1][2 * jdx] = zero - e
+    return mat
 
 
 def pontryagin_character_component(model: ChernRootModel, k: int, mode=dga.RATIONAL) -> Element:
-    """Degree-4k Pontryagin character: Tr(R^{2k}) / (2k (2 pi i)^{2k}).
+    """Degree-4k Pontryagin character ph_k = s_k / k (splitting principle).
 
-    Computed through the curvature trace in the pi scalar mode; the pi powers
-    cancel exactly and the result is returned in the requested mode.  With the
-    pinned block constant this equals s_k / k, which the tests cross-check.
+    Equal to the Chern-Weil trace Tr(R^{2k}) / (2k (2 pi i)^{2k}) of the pinned
+    curvature, which the tests keep as the oracle.  Zero when 4k > dim.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    if model.r == 0 or 4 * k > model.dim:
-        return model.algebra.zero(mode)
-    mat = model.curvature(dga.PI)
-    r2 = _mat_mul(mat, mat)
-    power = r2
-    for _ in range(k - 1):
-        power = _mat_mul(power, r2)
-    tr = _mat_trace(power)
-    # 1/(2k (2 pi i)^{2k}) = (-1)^k / (2k 4^k) * pi^{-2k}
-    scale = PiScalar.pi_power(-2 * k, QI(Fraction((-1) ** k, 2 * k * 4**k)))
-    rational = (tr * dga.coerce(dga.PI, scale)).convert(dga.RATIONAL)
-    return rational if mode == dga.RATIONAL else rational.convert(mode)
+    return model.power_sum(k, mode) * Fraction(1, k)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import dga
 from .dga import Element, unit_inverse
-from .geom import ChernRootModel, _two_pi
-from .qmod import z2plus_points, z2plus_power_sums
-from .scalars import QI, PiScalar, bernoulli, two_pi_i_times
+from .geom import ChernRootModel, _two_pi, root_blocks
+from .qmod import half_lattice_normalization, z2plus_points, z2plus_power_sums
+from .scalars import QI, PiScalar
 
 
 class PfaffianRouteMismatch(ArithmeticError):
@@ -220,11 +220,6 @@ def _det_laplace(m) -> Element:
     return minor(0, tuple(range(n)))
 
 
-def identity_matrix(alg, size, mode):
-    one, zero = alg.one(mode), alg.zero(mode)
-    return [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-
 # ---------------------------------------------------------------------------
 # Normalized torus-mode blocks
 
@@ -237,13 +232,15 @@ def _tau_qi(tau) -> QI:
     raise TypeError("exact modes need tau as a QI (or complex with exact parts)")
 
 
-def _block_scalar(n, m, tau, mode):
-    """1 / (i (n tau - m)) in the requested mode."""
+_TWO_PI_I = PiScalar.pi_power(1, QI(0, 2))
+
+
+def _block_z(idx, tau, mode):
+    """n tau - m in the requested mode."""
+    n, m = (idx.n, idx.m) if isinstance(idx, BlockIndex) else idx
     if mode == dga.COMPLEX:
-        return 1.0 / (1j * (n * complex(tau) - m))
-    z = QI(n) * _tau_qi(tau) - QI(m)
-    val = (QI(0, 1) * z).inverse()
-    return dga.coerce(mode, val)
+        return n * complex(tau) - m
+    return dga.coerce(mode, QI(n) * _tau_qi(tau) - QI(m))
 
 
 def root_entries(model: ChernRootModel, mode) -> list:
@@ -257,43 +254,21 @@ def normalized_block_matrix(idx, model: ChernRootModel, tau, mode, entries=None)
     """Id + beta R / (2 pi i (n tau - m)) over the model's algebra.
 
     entries is root_entries(model, mode), built here when None."""
-    n, m = (idx.n, idx.m) if isinstance(idx, BlockIndex) else idx
-    size = 2 * model.r
-    mat = identity_matrix(model.algebra, size, mode)
-    scal = _block_scalar(n, m, tau, mode)
+    # beta R / (2 pi i z) has entries beta x_j / (i z): the 2 pi of R cancels
+    scal = dga.MODES[mode].inverse(dga.coerce(mode, QI(0, 1)) * _block_z(idx, tau, mode))
     if entries is None:
         entries = root_entries(model, mode)
-    for jdx, bx in enumerate(entries):
-        entry = bx * scal
-        mat[2 * jdx][2 * jdx + 1] = mat[2 * jdx][2 * jdx + 1] + entry
-        mat[2 * jdx + 1][2 * jdx] = mat[2 * jdx + 1][2 * jdx] - entry
-    return mat
-
-
-def _block_z(idx, tau, mode):
-    """2 pi i (n tau - m) in the requested mode."""
-    n, m = (idx.n, idx.m) if isinstance(idx, BlockIndex) else idx
-    if mode == dga.COMPLEX:
-        return 2j * math.pi * (n * complex(tau) - m)
-    return dga.coerce(mode, two_pi_i_times(QI(n) * _tau_qi(tau) - QI(m)))
+    return root_blocks(model.algebra.one(mode), [bx * scal for bx in entries])
 
 
 def _paired_skew_block(idx, model: ChernRootModel, tau, mode, entries=None):
     """[[0, A], [-A^T, 0]] with A = 2 pi i (n tau - m) Id + beta R."""
     alg = model.algebra
-    size = 2 * model.r
-    z = alg.scalar(_block_z(idx, tau, mode), mode)
     if entries is None:
         entries = root_entries(model, mode)
-    two_pi = _two_pi(mode)
-    a = [[alg.zero(mode) for _ in range(size)] for _ in range(size)]
-    for jdx, bx in enumerate(entries):
-        entry = bx * two_pi
-        a[2 * jdx][2 * jdx] = z
-        a[2 * jdx + 1][2 * jdx + 1] = z
-        a[2 * jdx][2 * jdx + 1] = entry
-        a[2 * jdx + 1][2 * jdx] = -entry
-    zero = alg.zero(mode)
+    z = alg.scalar(dga.coerce(mode, _TWO_PI_I) * _block_z(idx, tau, mode), mode)
+    a = root_blocks(z, [bx * _two_pi(mode) for bx in entries])
+    size, zero = len(a), alg.zero(mode)
     top = [[zero] * size + row for row in a]
     bottom = [[-a[j][i] for j in range(size)] + [zero] * size for i in range(size)]
     return top + bottom
@@ -326,7 +301,7 @@ def block_norm_pfaffian(idx, model: ChernRootModel, tau, mode=dga.PI, verify_rou
 
 def _zero_block_pfaffian(idx, r, tau, mode):
     """(-1)^r z^{2r}, the Pfaffian of the R = 0 paired block [[0, z Id], [-z Id, 0]]."""
-    return (-1) ** r * _block_z(idx, tau, mode) ** (2 * r)
+    return (-1) ** r * (dga.coerce(mode, _TWO_PI_I) * _block_z(idx, tau, mode)) ** (2 * r)
 
 
 def _close_elements(a: Element, b: Element, tol=1e-9) -> bool:
@@ -392,18 +367,11 @@ def a_hat_mode_matrix(model: ChernRootModel, n: int, mode, sign=1):
     the curvature enters in the normalization that makes p1 = sum x_j^2, the
     same convention the torus blocks use.
     """
-    alg = model.algebra
-    size = 2 * model.r
-    mat = identity_matrix(alg, size, mode)
     if mode == dga.COMPLEX:
         scal = sign / (2 * math.pi * n)
     else:
         scal = dga.coerce(mode, PiScalar.pi_power(-1, QI(Fraction(sign, 2 * n))))
-    for jdx, x in enumerate(model.roots(mode)):
-        entry = x * scal
-        mat[2 * jdx][2 * jdx + 1] = mat[2 * jdx][2 * jdx + 1] + entry
-        mat[2 * jdx + 1][2 * jdx] = mat[2 * jdx + 1][2 * jdx] - entry
-    return mat
+    return root_blocks(model.algebra.one(mode), [x * scal for x in model.roots(mode)])
 
 
 def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> Element:
@@ -436,8 +404,8 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
 
 
 def a_hat_class(model: ChernRootModel, mode=dga.RATIONAL) -> Element:
-    """Closed-form limit prod_j (x_j/2)/sinh(x_j/2) = exp(-sum_k B_{2k} s_k/(2k (2k)!))."""
-    coeffs = (Fraction(-1, 2 * k * math.factorial(2 * k)) * bernoulli(2 * k)
-              for k in range(1, model.dim // 4 + 1))
-    terms = (model.power_sum(k, mode) * coeff for k, coeff in enumerate(coeffs, 1))
+    """Closed-form limit prod_j (x_j/2)/sinh(x_j/2) = exp(-sum_k B_{2k} s_k/(2k (2k)!)),
+    the coefficient of s_k being the E{2k} normalization -B_{2k}/(2 (2k)!) over k."""
+    terms = (model.power_sum(k, mode) * (half_lattice_normalization(k) / k)
+             for k in range(1, model.dim // 4 + 1))
     return dga.exp_nilpotent(model.algebra.sum(terms, mode))

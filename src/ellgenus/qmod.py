@@ -448,14 +448,11 @@ class EMonomials(dict):
         return s
 
 
-def lattice_normalization(k: int) -> Fraction:
-    """Rational c with E^lat_{2k} = c * (2 pi i)^{2k} * Ẽ_{2k}; c = -B_{2k}/(2k)!."""
-    return -bernoulli(2 * k) / math.factorial(2 * k)
-
-
 def half_lattice_normalization(k: int) -> Fraction:
-    """Rational c with zeta(2k)/(2 pi i)^{2k} = c; c = -B_{2k}/(2 (2k)!)."""
-    return lattice_normalization(k) / 2
+    """Rational c with zeta(2k)/(2 pi i)^{2k} = c; c = -B_{2k}/(2 (2k)!).
+
+    Half the full-lattice constant: E^lat_{2k} = 2c (2 pi i)^{2k} Ẽ_{2k}."""
+    return -bernoulli(2 * k) / (2 * math.factorial(2 * k))
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,3 @@ class PiScalar:
                 k, v = item.split(":")
                 out[int(k)] = QI.parse(v)
         return PiScalar(out)
-
-
-def two_pi_i_times(z: QI) -> PiScalar:
-    """Exact 2*pi*i*z as a PiScalar."""
-    return PiScalar({1: QI(0, 2) * z})

@@ -7,6 +7,7 @@ import pytest
 from ellgenus import dga
 from ellgenus.pfaff import _det_laplace, _pf_matchings, _swap_rowcol
 from ellgenus.qmod import z2plus_shell
+from ellgenus.scalars import QI, PiScalar
 
 
 def _square_shell_sum(power, tau, bound):
@@ -25,6 +26,48 @@ def _square_shell_sum(power, tau, bound):
 @pytest.fixture
 def square_shell_sum():
     return _square_shell_sum
+
+
+# ---------------------------------------------------------------------------
+# The Chern-Weil trace route to the Pontryagin character, kept as the oracle
+# beside the library's splitting-principle closed form ph_k = s_k / k.
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    alg, mode = a[0][0].algebra, a[0][0].mode
+    return [[alg.sum((a[i][k] * b[k][j] for k in range(n)
+                      if not a[i][k].is_zero() and not b[k][j].is_zero()), mode)
+             for j in range(n)] for i in range(n)]
+
+
+def _trace_of_power(mat, power):
+    """Tr(mat^power) of a nonempty square matrix of algebra elements, power >= 1."""
+    acc = mat
+    for _ in range(power - 1):
+        acc = _mat_mul(acc, mat)
+    alg, mode = mat[0][0].algebra, mat[0][0].mode
+    return alg.sum((acc[i][i] for i in range(len(acc))), mode)
+
+
+def _chern_weil_ph(model, k, mode=dga.RATIONAL):
+    """Tr(R^{2k}) / (2k (2 pi i)^{2k}) of the pi-mode curvature, in the requested mode."""
+    if model.r == 0:
+        return model.algebra.zero(mode)
+    tr = _trace_of_power(model.curvature(dga.PI), 2 * k)
+    # 1/(2k (2 pi i)^{2k}) = (-1)^k / (2k 4^k) * pi^{-2k}
+    scale = PiScalar.pi_power(-2 * k, QI(Fraction((-1) ** k, 2 * k * 4**k)))
+    return (tr * dga.coerce(dga.PI, scale)).convert(dga.RATIONAL).convert(mode)
+
+
+@pytest.fixture
+def trace_of_power():
+    return _trace_of_power
+
+
+@pytest.fixture
+def chern_weil_ph():
+    return _chern_weil_ph
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, MAX_Q_ORDER, OK, 
 from ellgenus.geom import ChernRootModel
 from ellgenus.pfaff import regularized_product
 from ellgenus.qmod import QSeries, eisenstein_q
+from ellgenus.witten import witten_class_symbolic
 
 qmod_eisenstein_lattice = qmod.eisenstein_lattice
 
@@ -315,6 +316,14 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: ellgenus")
 
 
+@pytest.mark.parametrize("roots,dim", [(0, 8), (1, 24), (1, 40), (2, 16), (3, 20), (5, 20)])
+def test_class_terms_bounds_the_witten_class(roots, dim):
+    # exact for one root: each E-monomial of weight 2d pairs with x1^{2d} once
+    terms = len(witten_class_symbolic(ChernRootModel(roots, dim)).terms)
+    assert terms <= cli._class_terms(roots, dim)
+    assert terms == cli._class_terms(roots, dim) or roots > 1
+
+
 @pytest.mark.parametrize("roots,dim", [("0", "8"), ("1", "0")])
 def test_anomaly_rejects_a_zero_p1(capsys, roots, dim):
     err = assert_input_error(capsys, "anomaly", "--roots", roots, "--dim", dim)
@@ -398,6 +407,17 @@ EDGE_RUNS = [
     f"pfaffian-product --roots {roots} --shells 2 --tau={tau}"
     for roots in range(3)
     for tau in ("0,1e-300", "0,1e300", "1e300,1", "nan,1", "0,inf")
+] + [
+    # sizes that ran for tens of seconds or more before they were capped
+    "witten-class --roots 6 --dim 48",
+    "witten-class --roots 100000 --dim 4",
+    "witten-class --roots 1 --dim 4000000000",
+    "anomaly --roots 6 --dim 32 --q-order 2",
+    "anomaly --roots 1 --dim 84 --q-order 512",
+    "pfaffian-product --roots 1 --dim 8 --shells 20000",
+    "pfaffian-product --roots 2 --dim 8 --shells 4096 --exact-shells 0",
+    "pfaffian-product --roots 4 --dim 16 --shells 50 --exact-shells 50",
+    "eisenstein --k 2 --bound 1000000000",
 ]
 
 
@@ -446,6 +466,17 @@ def test_pfaffian_product_rejects_a_non_finite_table(capsys, roots):
     ("pfaffian-product --roots 2 --dim 8 --shells -1", "--shells >= 1"),
     ("pfaffian-product --roots 1 --dim 8 --exact-shells -1", "--exact-shells >= 0"),
     ("pfaffian-product --roots 2 --dim 8 --exact-shells -1", "--exact-shells >= 0"),
+    ("witten-class --roots 6 --dim 48", "cli.MAX_CLASS_TERMS"),
+    ("witten-class --roots 100000 --dim 4", "cli.MAX_CLASS_TERMS"),
+    ("witten-class --roots 1 --dim 4000000000", "cli.MAX_CLASS_TERMS"),
+    ("anomaly --roots 6 --dim 32 --q-order 2", "cli.MAX_CLASS_TERMS"),
+    ("pfaffian-product --roots 6 --dim 48 --shells 1", "cli.MAX_CLASS_TERMS"),
+    ("anomaly --roots 1 --dim 84 --q-order 512", "cli.MAX_SERIES_WORK"),
+    ("witten-class --roots 1 --dim 84 --q-order 512", "cli.MAX_SERIES_WORK"),
+    ("pfaffian-product --roots 1 --dim 8 --shells 20000", f"--shells <= {cli.MAX_SHELLS}"),
+    ("pfaffian-product --roots 2 --dim 8 --shells 4096 --exact-shells 0", "cli.MAX_BLOCK_WORK"),
+    ("pfaffian-product --roots 4 --dim 16 --shells 50 --exact-shells 50", "cli.MAX_BLOCK_WORK"),
+    ("eisenstein --k 2 --bound 1000000000", f"--bound <= {cli.MAX_BOUND}"),
 ])
 def test_bad_numeric_flags_are_input_errors(capsys, tmp_path, argv, named):
     d = write_descriptor(tmp_path, "d.json", 8, {"1,1": "4", "2": "7"})

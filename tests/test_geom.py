@@ -9,13 +9,12 @@ from ellgenus.geom import (
     ChernRootModel,
     ManifoldDescriptor,
     MissingNumber,
-    _mat_mul,
-    _mat_trace,
     integrate,
     pontryagin_algebra,
     pontryagin_character_component,
     power_sum_element,
     power_sums_to_pontryagin,
+    root_blocks,
 )
 from ellgenus.qmod import eisenstein_q
 from ellgenus.scalars import QI, PiScalar
@@ -31,11 +30,25 @@ def test_curvature_is_skew_with_pinned_entries():
     assert R[0][1] == two_pi_x1
 
 
+def test_root_blocks_layout():
+    m = ChernRootModel(2, 8)
+    d = m.algebra.scalar(3)
+    x1, x2 = m.roots()
+    zero = m.algebra.zero()
+    assert root_blocks(d, [x1, x2]) == [
+        [d, x1, zero, zero],
+        [-x1, d, zero, zero],
+        [zero, zero, d, x2],
+        [zero, zero, -x2, d],
+    ]
+    assert root_blocks(d, []) == []
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
-def test_p1_consistency_pins_block_constant(r):
+def test_p1_consistency_pins_block_constant(r, trace_of_power):
     # -Tr(R^2)/(8 pi^2) == sum x_j^2, exactly
     m = ChernRootModel(r, 4)
-    tr2 = _mat_trace(_mat_mul(m.curvature(), m.curvature()))
+    tr2 = trace_of_power(m.curvature(), 2)
     p1 = tr2 * dga.coerce(dga.PI, PiScalar.pi_power(-2, QI(Fraction(-1, 8))))
     assert p1.convert(dga.RATIONAL) == m.p1()
 
@@ -51,10 +64,13 @@ def test_ph_examples():
     assert pontryagin_character_component(m1, 2).is_zero()
 
 
-@pytest.mark.parametrize("r,k", [(1, 1), (2, 2), (3, 2), (3, 3)])
-def test_ph_equals_power_sum_over_k(r, k):
+@pytest.mark.parametrize("mode", [dga.RATIONAL, dga.PI])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_ph_equals_power_sum_over_k(r, mode, chern_weil_ph):
+    # the closed form s_k / k against the Chern-Weil trace Tr(R^{2k}) / (2k (2 pi i)^{2k})
     m = ChernRootModel(r, 12)
-    assert pontryagin_character_component(m, k) == m.power_sum(k) * Fraction(1, k)
+    for k in range(1, m.dim // 4 + 1):
+        assert pontryagin_character_component(m, k, mode) == chern_weil_ph(m, k, mode)
 
 
 def test_whitney_additivity():

@@ -7,7 +7,6 @@ from ellgenus.scalars import (
     QI,
     PiScalar,
     bernoulli,
-    two_pi_i_times,
     zeta_even_over_pi_power,
 )
 
@@ -94,8 +93,3 @@ def test_pi_scalar_parse_round_trip():
         PiScalar.pi_power(3, QI(0, Fraction(-5, 3))),
     ):
         assert PiScalar.parse(v.compact()) == v
-
-
-def test_two_pi_i_times():
-    v = two_pi_i_times(QI(0, 2))  # 2 pi i * 2i = -4 pi
-    assert v == PiScalar.pi_power(1, QI(-4))
