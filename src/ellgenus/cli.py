@@ -24,10 +24,9 @@ from .dga import differential
 from .geom import ChernRootModel, ManifoldDescriptor
 from .pfaff import (
     PfaffianRouteMismatch,
-    block_norm_pfaffian,
     product_exponential_form,
     regularized_product,
-    root_entries,
+    shell_products,
 )
 from .qmod import (
     GAMMA_S,
@@ -40,7 +39,6 @@ from .qmod import (
     eisenstein_q,
     quasi_modular_decompose,
     transform_residual,
-    z2plus_shell,
 )
 from .scalars import QI, bernoulli, zeta_even_over_pi_power
 from .witten import (
@@ -386,7 +384,8 @@ def _cmd_pfaffian_product(args, report: Report) -> int:
     if args.roots < 1 or not 1 <= args.shells <= MAX_SHELLS or args.exact_shells < 0:
         raise ValueError(f"need --roots >= 1, --shells >= 1, --shells <= {MAX_SHELLS} and --exact-shells >= 0")
     _check_model_size(args.roots, args.dim)
-    # 2 S (S + 1) blocks within S shells; the exact check redoes every bound up to E
+    # 2 S (S + 1) blocks in S shells.  The exact check evaluates 2 E (E + 1) blocks once,
+    # counted as the 2 E (E + 1) (E + 2) / 3 power-sum points of its closed forms at 1..E
     s, e = args.shells, min(args.exact_shells, args.shells)
     blocks = 2 * s * (s + 1) * (args.roots > 1) + EXACT_BLOCK_COST * 2 * e * (e + 1) * (e + 2) // 3
     if blocks * args.roots * (args.dim // 4) > MAX_BLOCK_WORK:
@@ -399,20 +398,17 @@ def _cmd_pfaffian_product(args, report: Report) -> int:
     model = ChernRootModel(args.roots, args.dim)
     # exact identity at small shell bounds (pi mode, dual-route Pfaffians inside)
     tau_exact = _tau_exact(args.tau)
-    for bound in range(1, min(args.exact_shells, args.shells) + 1):
-        prod = regularized_product(model, bound, tau_exact, dga.PI)
-        expform = product_exponential_form(model, bound, tau_exact, dga.PI)
-        if prod != expform:
+    for bound, prod in shell_products(model, range(1, e + 1), tau_exact, dga.PI):
+        if prod != product_exponential_form(model, bound, tau_exact, dga.PI):
             report.record(record="identity", shell=bound, status="FAIL")
             return IDENTITY_FAILURE
         report.record(record="identity", shell=bound, status="OK")
     # numeric convergence table for the beta^2 x1^2 coefficient
     alg = model.algebra
     key = ((alg.index["b"], 2), (alg.index["x1"], 2))
-    bounds = _table_bounds(args.shells)
     prev = None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        table = list(_product_table(model, bounds, tau))
+        table = list(_product_table(model, _table_bounds(args.shells), tau))
     for bound, value in table:
         coeff = value.terms.get(key, 0j)
         if not cmath.isfinite(coeff):
@@ -431,20 +427,10 @@ def _cmd_pfaffian_product(args, report: Report) -> int:
 
 def _product_table(model, bounds, tau):
     """Products at several shell bounds: the closed form per bound for one root,
-    a single incremental pass over the blocks shell by shell otherwise."""
+    one shell-by-shell pass over the blocks otherwise."""
     if model.r == 1:
-        for bound in bounds:
-            yield bound, regularized_product(model, bound, tau, dga.COMPLEX, verify_routes=False)
-        return
-    want = set(bounds)
-    acc = model.algebra.one(dga.COMPLEX)
-    entries = root_entries(model, dga.COMPLEX)
-    for s in range(1, max(bounds) + 1):
-        n, m = z2plus_shell(s)
-        for point in zip(n.tolist(), m.tolist()):
-            acc = acc * block_norm_pfaffian(point, model, tau, dga.COMPLEX, False, entries)
-        if s in want:
-            yield s, acc
+        return ((b, regularized_product(model, b, tau, dga.COMPLEX, verify_routes=False)) for b in bounds)
+    return shell_products(model, bounds, tau, dga.COMPLEX, False)
 
 
 def _table_bounds(shells: int):

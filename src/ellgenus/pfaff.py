@@ -28,7 +28,7 @@ import numpy as np
 from . import dga
 from .dga import Element, unit_inverse
 from .geom import ChernRootModel, _two_pi, root_blocks
-from .qmod import half_lattice_normalization, z2plus_points, z2plus_power_sums
+from .qmod import half_lattice_normalization, z2plus_power_sums, z2plus_shell
 from .scalars import QI, PiScalar
 
 
@@ -318,26 +318,40 @@ def _close_elements(a: Element, b: Element, tol=1e-9) -> bool:
 # The regularized product over Z^2_+
 
 
+def shell_products(model: ChernRootModel, bounds, tau, mode=dga.PI, verify_routes=True):
+    """Yield (bound, product of the normalized block Pfaffians within the bound) for
+    each nondecreasing shell bound, one at bound 0: the only loop over Z^2_+ blocks.
+    One pass multiplies each block into one accumulator once, in z2plus_shell
+    order, so each product is the one regularized_product forms at its bound."""
+    acc, done = model.algebra.one(mode), 0
+    entries = root_entries(model, mode)
+    for bound in bounds:
+        if bound < done:
+            raise ValueError("shell bounds must be >= 0 and nondecreasing")
+        for s in range(done + 1, bound + 1):
+            n, m = z2plus_shell(s)
+            for point in zip(n.tolist(), m.tolist()):
+                acc = acc * block_norm_pfaffian(point, model, tau, mode, verify_routes, entries)
+        done = bound
+        yield bound, acc
+
+
 def regularized_product(model: ChernRootModel, shell_bound: int, tau, mode=dga.PI,
                         verify_routes=None) -> Element:
     """Product of normalized block Pfaffians over Z^2_+ within the shell bound.
 
     Blocks are independent; the reduction follows the shell enumeration order
     deterministically (part of the semantics for the conditional k = 1 part).
-    Complex mode without route checks returns product_exponential_form, the
-    closed form the block product equals at every truncation.
+    Complex mode without route checks (its default) returns
+    product_exponential_form, the closed form the block product equals at every
+    truncation; otherwise this is the product shell_products yields at the bound.
     """
     if shell_bound < 0:
         raise ValueError("shell bound must be >= 0")
-    if verify_routes is None:
-        verify_routes = mode != dga.COMPLEX
-    if mode == dga.COMPLEX and not verify_routes:
+    verify = mode != dga.COMPLEX if verify_routes is None else verify_routes
+    if mode == dga.COMPLEX and not verify:
         return product_exponential_form(model, shell_bound, tau, mode)
-    acc = model.algebra.one(mode)
-    entries = root_entries(model, mode)
-    for n, m in z2plus_points(shell_bound):
-        acc = acc * block_norm_pfaffian((n, m), model, tau, mode, verify_routes, entries)
-    return acc
+    return next(shell_products(model, [shell_bound], tau, mode, verify))[1]
 
 
 def product_exponential_form(model: ChernRootModel, shell_bound: int, tau, mode=dga.PI) -> Element:

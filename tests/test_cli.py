@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from ellgenus import cli, dga, qmod
+from ellgenus import cli, dga, pfaff, qmod
 from ellgenus.bvloc import MAX_GRID
 from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, MAX_Q_ORDER, OK, main
 from ellgenus.geom import ChernRootModel
@@ -210,6 +211,22 @@ def test_pfaffian_product_table(capsys, roots):
     for row in conv:  # float() parses a plain repr, never "np.float64(...)"
         for value in row["beta2_coefficient"] + [row["drift"]]:
             float(value)
+
+
+def test_pfaffian_product_evaluates_each_block_once(capsys, monkeypatch):
+    calls, block = Counter(), pfaff.block_norm_pfaffian
+
+    def counted(idx, model, tau, mode=dga.PI, *args):
+        calls[mode] += 1
+        return block(idx, model, tau, mode, *args)
+
+    monkeypatch.setattr(pfaff, "block_norm_pfaffian", counted)
+    status, _ = run_cli(capsys, "pfaffian-product", "--roots", "2", "--dim", "8",
+                        "--shells", "3", "--exact-shells", "3")
+    assert status == OK
+    # 2 E (E + 1) = 24 blocks within 3 shells, each once: the exact check across
+    # bounds 1..3 and the table at bounds 1, 2, 3 (a product per bound made 40)
+    assert calls == {dga.PI: 24, dga.COMPLEX: 24}
 
 
 # The per-block loop for r > 1 against the closed form r = 1 uses: the equality

@@ -24,6 +24,7 @@ from ellgenus.pfaff import (
     product_exponential_form,
     regularized_product,
     root_entries,
+    shell_products,
 )
 from ellgenus.qmod import z2plus_points, z2plus_shell
 from ellgenus.scalars import QI, bernoulli
@@ -569,6 +570,23 @@ def test_product_builds_the_root_entries_once(monkeypatch, mode):
     for idx in ((1, 0), (2, -1)):
         assert _items(block_norm_pfaffian(idx, model, tau, mode, True, root_entries(model, mode))) \
             == _items(block_norm_pfaffian(idx, model, tau, mode))
+
+
+@pytest.mark.parametrize("mode,bounds", [(dga.PI, [0, 1, 2, 3]), (dga.COMPLEX, [1, 2, 4])])
+def test_shell_products_are_the_regularized_products(mode, bounds):
+    model = ChernRootModel(2, 8)
+    tau = QI(Fraction(1, 4), Fraction(3, 2))
+    got = list(shell_products(model, bounds, tau, mode, True))
+    assert [bound for bound, _ in got] == bounds
+    for bound, product in got:  # same monomials in the same insertion order
+        assert _items(product) == _items(regularized_product(model, bound, tau, mode, True))
+
+
+def test_shell_products_reject_decreasing_bounds():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        list(shell_products(ChernRootModel(1, 4), [2, 1], QI(0, 2)))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        list(shell_products(ChernRootModel(1, 4), [-1], QI(0, 2)))
 
 
 # Entries with an invertible-looking scalar part that are no units: a nan or
