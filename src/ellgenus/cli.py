@@ -181,6 +181,8 @@ def _read_record(path: str, parse):
         return parse(record)
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed record: {exc}") from exc
+    except ZeroDivisionError as exc:  # a "p/0" number
+        raise ValueError(f"{path}: zero denominator: {exc}") from exc
 
 
 def _config_record(report: Report, args, **extra):

@@ -35,6 +35,7 @@ negative exponents; they must have form degree 0, so truncation is unaffected.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, takewhile
@@ -546,15 +547,17 @@ def _invert_unit_monomial(a: Element) -> Element:
 # Division, relations, substitution
 
 
-def _lex_key(alg: Algebra, mono):
+def _neg_lex_key(alg: Algebra, mono):
+    """The negated exponent vector: the lex-largest monomial has the least key,
+    so heapq pops it first."""
     vec = [0] * len(alg.gens)
     for i, e in mono:
-        vec[i] = e
+        vec[i] = -e
     return tuple(vec)
 
 
 def _lex_max(alg, terms):
-    return max(terms, key=lambda m: _lex_key(alg, m))
+    return min(terms, key=lambda m: _neg_lex_key(alg, m))
 
 
 def _mono_divides(ma, mb):
@@ -587,15 +590,30 @@ def _divide(a: Element, g: Element) -> tuple[Element, Element]:
     lc_inv = MODES[mode].inverse(g.terms[lead])
     zero = _ZERO[mode]
     rest, quotient, remainder = dict(a.terms), {}, {}
-    while rest:
-        m = _lex_max(alg, rest)
+    # A max-heap of the monomials of rest, each pushed once when it first
+    # appears.  Reducing m adds only monomials lex-smaller than m, so the top
+    # that is still in rest is rest's lex-largest monomial; the others on the
+    # way there have cancelled.
+    heap = [(_neg_lex_key(alg, m), m) for m in rest]
+    heapq.heapify(heap)
+    seen = set(rest)
+    while heap:
+        m = heap[0][1]
+        if m not in rest:
+            heapq.heappop(heap)
+            continue
         quot_mono = _mono_divides(lead, m)
         if quot_mono is None:
             remainder[m] = rest.pop(m)
         else:
             t = alg.element({quot_mono: rest[m] * lc_inv}, mode)
             _add_terms(quotient, t.terms, zero)
-            _add_terms(rest, (-(t * g)).terms, zero)
+            reduction = (-(t * g)).terms
+            _add_terms(rest, reduction, zero)
+            for n in reduction:
+                if n not in seen:
+                    seen.add(n)
+                    heapq.heappush(heap, (_neg_lex_key(alg, n), n))
     return Element(alg, mode, quotient), Element(alg, mode, remainder)
 
 

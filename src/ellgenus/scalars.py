@@ -9,6 +9,12 @@ reached through ``complex()`` (``to_complex``) at comparison boundaries.  Each
 scalar is falsy exactly when it is zero.  PiScalar is the home
 of exact quantities like 2*pi*i*(n*tau - m) for Gaussian-rational tau, which is
 what keeps the Pfaffian-product identities checkable without floats.
+
+A QI is stored as integers over one denominator, (a + b*i) / d in lowest
+terms, so its operators do integer arithmetic and one gcd and build no
+Fraction; a PiScalar is a dict {pi exponent: nonzero QI} whose operators
+build that dict directly.  ``_qi`` and ``_pi`` construct both from parts
+already in normal form, without the public constructors' conversions.
 """
 
 from __future__ import annotations
@@ -62,22 +68,52 @@ def zeta_even_over_pi_power(k: int) -> Fraction:
     return Fraction((-1) ** (k + 1) * 4**k, 2 * math.factorial(2 * k)) * bernoulli(2 * k)
 
 
-class QI:
-    """Gaussian rational re + im*i with exact Fraction parts."""
+_new = object.__new__
+_set = object.__setattr__
 
-    __slots__ = ("re", "im")
+
+class QI:
+    """Gaussian rational (a + b*i) / d over Gaussian-integer numerators.
+
+    The value is stored as three ints: the numerator pair ``a``, ``b`` over
+    one denominator ``d > 0`` with gcd(a, b, d) = 1.  That form is unique,
+    so equality compares the triples, and each operation builds integers and
+    normalizes them with one gcd.  ``re`` and ``im`` are read-only Fraction
+    views; the constructor takes anything ``Fraction`` takes.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # over the lcm of reduced denominators the numerators share no factor with it
+            d = math.lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "d", d)
 
     def __setattr__(self, *a):
         raise AttributeError("QI is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     @staticmethod
     def of(value) -> "QI":
-        if isinstance(value, QI):
+        if type(value) is QI:
             return value
+        if type(value) is int:
+            return _qi(value, 0, 1)
         if isinstance(value, (int, Fraction)):
             return QI(value)
         if isinstance(value, complex):
@@ -85,16 +121,20 @@ class QI:
         raise TypeError(f"cannot coerce {type(value).__name__} to QI")
 
     def __add__(self, other):
-        try:
-            other = QI.of(other)
-        except TypeError:
-            return NotImplemented
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            try:
+                other = QI.of(other)
+            except TypeError:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _normal(self.a + other.a, self.b + other.b, d)
+        return _normal(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-QI.of(other))
@@ -103,22 +143,23 @@ class QI:
         return QI.of(other) + (-self)
 
     def __mul__(self, other):
-        try:
-            other = QI.of(other)
-        except TypeError:
-            return NotImplemented
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not QI:
+            try:
+                other = QI.of(other)
+            except TypeError:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _normal(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QI":
-        n = self.re * self.re + self.im * self.im
+        """d (a - b i) / (a^2 + b^2)."""
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QI(self.re / n, -self.im / n)
+        return _normal(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * QI.of(other).inverse()
@@ -126,26 +167,27 @@ class QI:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        return power(self, e, QI(1))
+        return power(self, e, _qi(1, 0, 1))
 
     def __eq__(self, other):
-        try:
-            other = QI.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not QI:
+            try:
+                other = QI.of(other)
+            except TypeError:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     __complex__ = to_complex
 
@@ -154,9 +196,9 @@ class QI:
 
     def compact(self) -> str:
         """Render without spaces or top-level '+', e.g. ``3/4-1/2i``."""
-        if self.im == 0:
+        if not self.b:
             return str(self.re)
-        im = f"{self.im}i" if self.im < 0 else f"+{self.im}i"
+        im = f"{self.im}i" if self.b < 0 else f"+{self.im}i"
         return f"{self.re}{im}"
 
     @staticmethod
@@ -172,7 +214,21 @@ class QI:
         return QI(Fraction(t))
 
 
-_I = QI(0, 1)
+def _qi(a: int, b: int, d: int) -> QI:
+    """A QI from a triple already in normal form (see the class docstring)."""
+    q = _new(QI)
+    _set(q, "a", a)
+    _set(q, "b", b)
+    _set(q, "d", d)
+    return q
+
+
+def _normal(a: int, b: int, d: int) -> QI:
+    """(a + b i) / d for d > 0, with the common factor divided out."""
+    g = math.gcd(a, b, d)
+    if g == 1:
+        return _qi(a, b, d)
+    return _qi(a // g, b // g, d // g)
 
 
 class PiScalar:
@@ -185,18 +241,18 @@ class PiScalar:
         if coeffs:
             for k, v in coeffs.items():
                 v = QI.of(v)
-                if not v.is_zero():
+                if v:
                     clean[int(k)] = v
-        object.__setattr__(self, "coeffs", clean)
+        _set(self, "coeffs", clean)
 
     def __setattr__(self, *a):
         raise AttributeError("PiScalar is immutable")
 
     @staticmethod
     def of(value) -> "PiScalar":
-        if isinstance(value, PiScalar):
+        if type(value) is PiScalar:
             return value
-        return PiScalar({0: QI.of(value)})
+        return _pi({0: QI.of(value)})
 
     @staticmethod
     def pi_power(k: int, coeff=1) -> "PiScalar":
@@ -209,13 +265,14 @@ class PiScalar:
             return NotImplemented
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, QI(0)) + v
-        return PiScalar(out)
+            w = out.get(k)
+            out[k] = v if w is None else w + v
+        return _pi(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiScalar({k: -v for k, v in self.coeffs.items()})
+        return _pi({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-PiScalar.of(other))
@@ -231,9 +288,10 @@ class PiScalar:
         out = {}
         for ka, va in self.coeffs.items():
             for kb, vb in other.coeffs.items():
-                k = ka + kb
-                out[k] = out.get(k, QI(0)) + va * vb
-        return PiScalar(out)
+                k, v = ka + kb, va * vb
+                w = out.get(k)
+                out[k] = v if w is None else w + v
+        return _pi(out)
 
     __rmul__ = __mul__
 
@@ -266,7 +324,7 @@ class PiScalar:
         if not self.is_unit():
             raise ZeroDivisionError("PiScalar inverse only for pi-monomial units")
         ((k, v),) = self.coeffs.items()
-        return PiScalar({-k: v.inverse()})
+        return _pi({-k: v.inverse()})
 
     def as_fraction(self) -> Fraction:
         """Extract the value when the element is a plain real rational."""
@@ -307,3 +365,10 @@ class PiScalar:
                 k, v = item.split(":")
                 out[int(k)] = QI.parse(v)
         return PiScalar(out)
+
+
+def _pi(coeffs: dict) -> PiScalar:
+    """A PiScalar from int keys and QI values, dropping the zero coefficients."""
+    s = _new(PiScalar)
+    _set(s, "coeffs", {k: v for k, v in coeffs.items() if v})
+    return s

@@ -7,7 +7,7 @@ import pytest
 from ellgenus import dga
 from ellgenus.pfaff import _det_laplace, _pf_matchings, _swap_rowcol
 from ellgenus.qmod import z2plus_shell
-from ellgenus.scalars import QI, PiScalar
+from ellgenus.scalars import QI, PiScalar, power
 
 
 def _square_shell_sum(power, tau, bound):
@@ -68,6 +68,35 @@ def trace_of_power():
 @pytest.fixture
 def chern_weil_ph():
     return _chern_weil_ph
+
+
+# ---------------------------------------------------------------------------
+# Lex-order division that scans the remainder for its lex-largest monomial on
+# every step, kept as the oracle beside the library's heap-ordered dga._divide.
+
+
+def _lex_max_divide(a, g):
+    """(quotient, remainder) of a by g in lex order; dga._divide's checks are not repeated."""
+    alg, mode = a.algebra, a.mode
+    lead = dga._lex_max(alg, g.terms)
+    lc_inv = dga.MODES[mode].inverse(g.terms[lead])
+    zero = dga._ZERO[mode]
+    rest, quotient, remainder = dict(a.terms), {}, {}
+    while rest:
+        m = dga._lex_max(alg, rest)
+        quot_mono = dga._mono_divides(lead, m)
+        if quot_mono is None:
+            remainder[m] = rest.pop(m)
+        else:
+            t = alg.element({quot_mono: rest[m] * lc_inv}, mode)
+            dga._add_terms(quotient, t.terms, zero)
+            dga._add_terms(rest, (-(t * g)).terms, zero)
+    return dga.Element(alg, mode, quotient), dga.Element(alg, mode, remainder)
+
+
+@pytest.fixture
+def lex_max_divide():
+    return _lex_max_divide
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +399,123 @@ def fraction_qseries():
 @pytest.fixture
 def fraction_solve_exact():
     return _fraction_solve_exact
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals as a pair of Fractions, kept as the oracle beside the
+# library's integer-numerator QI: every part re-normalized after every operation.
+
+
+class FractionQI:
+    """Gaussian rational re + im*i with exact Fraction parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, *a):
+        raise AttributeError("FractionQI is immutable")
+
+    @staticmethod
+    def of(value) -> "FractionQI":
+        if isinstance(value, FractionQI):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionQI(value)
+        if isinstance(value, complex):
+            raise TypeError("no implicit float -> FractionQI coercion")
+        raise TypeError(f"cannot coerce {type(value).__name__} to FractionQI")
+
+    def __add__(self, other):
+        try:
+            other = FractionQI.of(other)
+        except TypeError:
+            return NotImplemented
+        return FractionQI(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQI(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-FractionQI.of(other))
+
+    def __rsub__(self, other):
+        return FractionQI.of(other) + (-self)
+
+    def __mul__(self, other):
+        try:
+            other = FractionQI.of(other)
+        except TypeError:
+            return NotImplemented
+        return FractionQI(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionQI":
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return FractionQI(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * FractionQI.of(other).inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        return power(self, e, FractionQI(1))
+
+    def __eq__(self, other):
+        try:
+            other = FractionQI.of(other)
+        except TypeError:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    __complex__ = to_complex
+
+    def __repr__(self):
+        return f"FractionQI({self.re!s}, {self.im!s})"
+
+    def compact(self) -> str:
+        """Render without spaces or top-level '+', e.g. ``3/4-1/2i``."""
+        if self.im == 0:
+            return str(self.re)
+        im = f"{self.im}i" if self.im < 0 else f"+{self.im}i"
+        return f"{self.re}{im}"
+
+    @staticmethod
+    def parse(text: str) -> "FractionQI":
+        t = text.strip()
+        if t.endswith("i"):
+            body = t[:-1]
+            # split at the sign of the imaginary part (not the leading sign)
+            for p in range(len(body) - 1, 0, -1):
+                if body[p] in "+-" and body[p - 1] not in "+-/":
+                    return FractionQI(Fraction(body[:p]), Fraction(body[p:] or "1"))
+            return FractionQI(0, Fraction(body or "1"))
+        return FractionQI(Fraction(t))
+
+
+@pytest.fixture
+def fraction_qi():
+    return FractionQI

@@ -541,19 +541,38 @@ ODD_SERIES = [
     {"weight": 4, "min_exp": -3, "coeffs": ["1", "2"], "order": 2},
     {"weight": 4, "min_exp": 0, "coeffs": [], "order": 0},
 ]
+# A "p/0" number in each kind of file is bad input, not a traceback.
+ZERO_DENOMINATOR_FILES = [
+    ("genus", {"1,1": "1/0", "2": "0"}),
+    ("decompose", {"weight": 4, "min_exp": 0, "coeffs": ["1", "1/0"], "order": 2}),
+    ("localize", {"alpha0": "z", "g": "-1", "s": "1/0", "grid": 8}),
+]
 
 
 @pytest.mark.parametrize("kind,record", [
     *(("genus", numbers) for numbers in ODD_DESCRIPTORS),
     *(("decompose", series) for series in ODD_SERIES),
     *(("localize", {"alpha0": "z", "g": "-1", "s": "1", "grid": grid}) for grid in (1, MAX_GRID)),
+    *ZERO_DENOMINATOR_FILES,
 ])
 def test_odd_files_end_in_a_documented_exit_code(capsys, tmp_path, kind, record):
+    assert main(file_argv(tmp_path, kind, record)) in (OK, INPUT_ERROR, IDENTITY_FAILURE)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def file_argv(tmp_path, kind, record):
+    """argv that runs a subcommand on the record, written to tmp_path/in.json
+    (for genus, the record is the Pontryagin numbers of a dim-8 descriptor)."""
     path = tmp_path / "in.json"
     if kind == "genus":
         record = {"dim": 8, "pontryagin_numbers": record}
     path.write_text(json.dumps(record))
     flag = {"genus": "--descriptor", "decompose": "--series", "localize": "--problem"}[kind]
     extra = ["--t", "0.5", "--t", "2"] if kind == "localize" else []
-    assert main([kind, flag, str(path), *extra]) in (OK, INPUT_ERROR, IDENTITY_FAILURE)
-    assert "Traceback" not in capsys.readouterr().err
+    return [kind, flag, str(path), *extra]
+
+
+@pytest.mark.parametrize("kind,record", ZERO_DENOMINATOR_FILES)
+def test_a_zero_denominator_is_an_input_error_naming_the_file(capsys, tmp_path, kind, record):
+    err = assert_input_error(capsys, *file_argv(tmp_path, kind, record))
+    assert err == f"error: {tmp_path / 'in.json'}: zero denominator: Fraction(1, 0)\n"

@@ -19,6 +19,7 @@ from ellgenus.dga import (
     substitute,
     unit_inverse,
 )
+from ellgenus.geom import ChernRootModel
 from ellgenus.qmod import QSeries, eisenstein_q
 from ellgenus.scalars import QI, PiScalar
 
@@ -622,8 +623,9 @@ def test_sum_rejects_the_pieces_that_add_rejects():
 
 
 @pytest.mark.parametrize("mode", [dga.RATIONAL, dga.PI])
-def test_divide_returns_quotient_and_reduced_remainder(mode):
-    """a == q*g + r, and the lead monomial of g divides no monomial of r."""
+def test_divide_returns_quotient_and_reduced_remainder(mode, lex_max_divide):
+    """a == q*g + r, the lead monomial of g divides no monomial of r, and q and r
+    match the lex-max scan oracle term for term, in insertion order."""
     alg = make_algebra(trunc=8)
     rng = Random(f"divide:{mode}")
     x1, x2, u = (alg.gen(n, mode) for n in ("x1", "x2", "u"))
@@ -635,9 +637,26 @@ def test_divide_returns_quotient_and_reduced_remainder(mode):
                                     for _ in range(rng.randint(0, 10))})
         for a in (a, a * g, a * g + x2 * u):
             q, r = dga._divide(a, g)
+            oq, orem = lex_max_divide(a, g)
+            assert list(q.terms.items()) == list(oq.terms.items())
+            assert list(r.terms.items()) == list(orem.terms.items())
             assert q * g + r == a
             assert all(dga._mono_divides(lead, m) is None for m in r.terms)
             assert impose_relation(a, g) == r
+
+
+def test_divide_matches_the_lex_max_scan_on_the_anomaly_division(lex_max_divide):
+    """The anomaly primitive's division at (r, dim) = (5, 20), and the same
+    dividend times the odd generator H plus an H-free rest, against the oracle."""
+    model = ChernRootModel(5, 20)
+    alg, p1 = model.algebra, model.p1()
+    exponent = -p1 * model.beta() ** 2 * alg.gen("u") * Fraction(1, 2)
+    a = alg.one() - exp_nilpotent(exponent)
+    for a in (a, alg.gen("H") * a + model.roots()[0] ** 3):
+        (q, r), want = dga._divide(a, p1), lex_max_divide(a, p1)
+        for x, y in zip((q, r), want):
+            assert list(x.terms.items()) == list(y.terms.items())
+        assert q * p1 + r == a
 
 
 def test_divide_exact_names_the_first_remainder_monomial():
