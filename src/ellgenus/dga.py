@@ -31,6 +31,15 @@ skipped, and complex-mode results keep their last digits.
 
 Generators marked invertible (the Bott symbol, the automorphy symbol) may carry
 negative exponents; they must have form degree 0, so truncation is unaffected.
+
+The two whole-element maps avoid ``Element`` products where they can.
+``substitute`` raises each image to each exponent once per call, merges the
+factors that are single monomials without odd generators into one monomial,
+and multiplies only by the rest (the SL2(Z) transform's E2 image, in
+practice).  ``differential`` collects, per generator g with dg != 0, the
+signed reduced monomials of all terms and multiplies by dg once.  Each
+returns the terms of the term-by-term evaluation; ``substitute`` also keeps
+their insertion order.
 """
 
 from __future__ import annotations
@@ -139,6 +148,7 @@ class Algebra:
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.trunc = int(trunc)
         self._d = {}  # generator index -> Element
+        self._d_converted = {}  # (generator index, mode) -> d_image in that mode
         self._mono_table = {}  # monomial -> (form degree, odd-generator bitmask)
 
     # -- construction -----------------------------------------------------
@@ -152,12 +162,17 @@ class Algebra:
             if self.form_degree(mono) != g.degree + 1:
                 raise ValueError(f"d({name}) must be homogeneous of degree {g.degree + 1}")
         self._d[i] = image
+        self._d_converted.clear()
 
     def d_image(self, i: int, mode):
         el = self._d.get(i)
-        if el is None:
-            return None
-        return el if el.mode == mode else el.convert(mode)
+        if el is None or el.mode == mode:
+            return el
+        key = (i, mode)
+        converted = self._d_converted.get(key)
+        if converted is None:
+            converted = self._d_converted[key] = el.convert(mode)
+        return converted
 
     def check_differential(self):
         """d(d_image) = 0 for every generator, once assembled."""
@@ -461,27 +476,36 @@ def parse_element(algebra: Algebra, mode, text: str) -> Element:
 
 
 def differential(a: Element) -> Element:
-    """Graded Leibniz extension of the generators' differentials."""
-    alg = a.algebra
+    """Graded Leibniz extension of the generators' differentials.
 
-    def pieces():
-        for mono, c in a.terms.items():
-            prefix_parity = 0
-            for pos, (i, e) in enumerate(mono):
-                g = alg.gens[i]
-                di = alg.d_image(i, a.mode)
-                if di is not None and not di.is_zero():
-                    head = alg.element({mono[:pos]: 1}, a.mode)
-                    tail_mono = ((i, e - 1),) if e > 1 else ()
-                    tail = alg.element({tail_mono + mono[pos + 1 :]: 1}, a.mode)
-                    piece = head * di * tail
-                    scale = coerce(a.mode, e) * c
-                    if prefix_parity:
-                        scale = -scale
-                    yield piece * scale
-                prefix_parity = (prefix_parity + e * g.degree) % 2
-
-    return alg.sum(pieces(), a.mode)
+    A monomial m = head·g^e·tail gets (-1)^|head| e·head·dg·g^(e-1)·tail from
+    each generator g with dg != 0.  Moving dg to the front costs
+    (-1)^(|dg||head|), and |dg| = |g| + 1, so that term is
+    (-1)^(|g||head|) e·dg·(m/g).  The signed, scaled reduced monomials m/g of
+    all terms are collected per generator into one dict, which is multiplied
+    by dg once: one product per generator instead of two per term.
+    """
+    alg, mode = a.algebra, a.mode
+    zero = _ZERO[mode]
+    reduced = {}  # generator index -> {m/g: (-1)^(|g||head|) e·c}
+    for mono, c in a.terms.items():
+        head_parity = 0
+        for pos, (i, e) in enumerate(mono):
+            g = alg.gens[i]
+            di = alg.d_image(i, mode)
+            if di is not None and di.terms:
+                rest = ((i, e - 1),) if e != 1 else ()
+                key = mono[:pos] + rest + mono[pos + 1 :]
+                v = coerce(mode, e) * c
+                bucket = reduced.setdefault(i, {})
+                v = bucket.get(key, zero) + (-v if head_parity and g.odd else v)
+                if v:
+                    bucket[key] = v
+                else:
+                    bucket.pop(key, None)
+            head_parity ^= e * g.degree & 1
+    return alg.sum((alg.d_image(i, mode) * Element(alg, mode, terms)
+                    for i, terms in reduced.items()), mode)
 
 
 def _nonzero(a: Element) -> bool:
@@ -637,29 +661,67 @@ def impose_relation(a: Element, rel: Element) -> Element:
 def substitute(a: Element, images: dict) -> Element:
     """Replace even generators by elements (names -> images in the same algebra).
 
-    Negative exponents require the image to be a single invertible monomial
-    with a unit coefficient (the Bott/automorphy substitutions).
+    A negative exponent needs a unit image: a monomial in invertible
+    generators (the Bott/automorphy substitutions) or a unit scalar plus a
+    nilpotent; any other image raises ZeroDivisionError.
+
+    Each term's image is built in one pass over its generators.  The factor
+    for a generator g^e (its image to the power e, or g^e itself when g is
+    kept) is computed once per call.  A factor that is one monomial without
+    odd generators commutes with everything, so those factors merge into one
+    monomial: exponents add and coefficients multiply.  That monomial is then
+    multiplied by the remaining factors (multi-term powers, odd generators) in
+    their order, which gives the terms of the ordered product, in its order.
     """
-    alg = a.algebra
+    alg, mode = a.algebra, a.mode
     img = {}
     for name, el in images.items():
         i = alg.index[name]
         if alg.gens[i].odd:
             raise ValueError("substitution is defined for even generators only")
-        el = a._check(el) if isinstance(el, Element) else alg.scalar(el, a.mode)
+        el = a._check(el) if isinstance(el, Element) else alg.scalar(el, mode)
         img[i] = el
+    factors = {}  # (generator, exponent) -> (element, its (monomial, coefficient) if it merges)
 
-    def images():
-        for mono, c in a.terms.items():
-            factor = alg.scalar(c, a.mode)
-            for i, e in mono:
-                if i in img:
-                    piece = img[i] ** e
-                else:
-                    piece = alg.element({((i, e),): 1}, a.mode)
-                factor = factor * piece
-                if factor.is_zero():
+    def factor(i, e):
+        f = factors.get((i, e))
+        if f is None:
+            el = img[i] ** e if i in img else alg.element({((i, e),): 1}, mode)
+            single = None
+            if len(el.terms) == 1:
+                ((mono, c),) = el.terms.items()
+                if not alg.mono_info(mono)[1]:
+                    single = mono, c
+            f = factors[(i, e)] = el, single
+        return f
+
+    def ordered_product(exps, coef, rest):
+        out = alg.element({tuple(sorted((k, x) for k, x in exps.items() if x)): coef}, mode)
+        for el in rest:
+            out = out * el
+        return out
+
+    out = {}
+    for mono, c in a.terms.items():
+        exps, coef, rest = {}, c, []
+        for i, e in mono:
+            try:
+                el, single = factor(i, e)
+            except (ArithmeticError, ValueError):  # a non-unit inverted, series weights mixed
+                # the ordered product stops at its first zero partial product,
+                # so a power it never reaches raises nothing
+                if ordered_product(exps, coef, rest).is_zero():
                     break
-            yield factor
-
-    return alg.sum(images(), a.mode)
+                raise
+            if single is None:
+                if not el.terms:
+                    break
+                rest.append(el)
+            else:
+                m, mc = single
+                coef = coef * mc
+                for k, x in m:
+                    exps[k] = exps.get(k, 0) + x
+        else:
+            _add_terms(out, ordered_product(exps, coef, rest).terms, _ZERO[mode])
+    return Element(alg, mode, out)

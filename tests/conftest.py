@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ellgenus import dga
+from ellgenus.dga import Element, coerce
 from ellgenus.pfaff import _det_laplace, _pf_matchings, _swap_rowcol
 from ellgenus.qmod import z2plus_shell
 from ellgenus.scalars import QI, PiScalar, power
@@ -519,3 +520,76 @@ class FractionQI:
 @pytest.fixture
 def fraction_qi():
     return FractionQI
+
+
+# ---------------------------------------------------------------------------
+# Term-by-term substitution and differential, kept as oracles beside the
+# library's dga.substitute (merged monomial times cached powers) and
+# dga.differential (one product per generator): two Element products per
+# differential term, and one product plus one fresh power per factor of a
+# substituted term.
+
+
+def _term_by_term_differential(a: Element) -> Element:
+    """Graded Leibniz extension of the generators' differentials."""
+    alg = a.algebra
+
+    def pieces():
+        for mono, c in a.terms.items():
+            prefix_parity = 0
+            for pos, (i, e) in enumerate(mono):
+                g = alg.gens[i]
+                di = alg.d_image(i, a.mode)
+                if di is not None and not di.is_zero():
+                    head = alg.element({mono[:pos]: 1}, a.mode)
+                    tail_mono = ((i, e - 1),) if e > 1 else ()
+                    tail = alg.element({tail_mono + mono[pos + 1 :]: 1}, a.mode)
+                    piece = head * di * tail
+                    scale = coerce(a.mode, e) * c
+                    if prefix_parity:
+                        scale = -scale
+                    yield piece * scale
+                prefix_parity = (prefix_parity + e * g.degree) % 2
+
+    return alg.sum(pieces(), a.mode)
+
+
+def _term_by_term_substitute(a: Element, images: dict) -> Element:
+    """Replace even generators by elements (names -> images in the same algebra).
+
+    Negative exponents require the image to be a single invertible monomial
+    with a unit coefficient (the Bott/automorphy substitutions).
+    """
+    alg = a.algebra
+    img = {}
+    for name, el in images.items():
+        i = alg.index[name]
+        if alg.gens[i].odd:
+            raise ValueError("substitution is defined for even generators only")
+        el = a._check(el) if isinstance(el, Element) else alg.scalar(el, a.mode)
+        img[i] = el
+
+    def images():
+        for mono, c in a.terms.items():
+            factor = alg.scalar(c, a.mode)
+            for i, e in mono:
+                if i in img:
+                    piece = img[i] ** e
+                else:
+                    piece = alg.element({((i, e),): 1}, a.mode)
+                factor = factor * piece
+                if factor.is_zero():
+                    break
+            yield factor
+
+    return alg.sum(images(), a.mode)
+
+
+@pytest.fixture
+def term_by_term_substitute():
+    return _term_by_term_substitute
+
+
+@pytest.fixture
+def term_by_term_differential():
+    return _term_by_term_differential

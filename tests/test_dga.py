@@ -112,21 +112,39 @@ def test_differential_examples():
     alg.check_differential()
 
 
-def test_differential_squares_to_zero_random():
-    rng = Random(3)
-    # several generator rosters with different differentials
-    algebras = [make_algebra()]
-    alg2 = Algebra(
+def alg2():
+    """Odd a, v, c after the even w: da = w^2, dv = 3w."""
+    alg = Algebra(
         [Generator("w", 2), Generator("a", 3), Generator("v", 1), Generator("c", 5)],
         trunc=10,
     )
-    alg2.set_differential("a", alg2.gen("w") ** 2)
-    alg2.set_differential("v", alg2.gen("w") * Fraction(3))
-    algebras.append(alg2)
-    alg3 = Algebra([Generator("e", 2), Generator("f", 1), Generator("h", 3)], trunc=12)
-    alg3.set_differential("f", alg3.gen("e"))
-    alg3.set_differential("h", alg3.gen("e") ** 2 * Fraction(-2))
-    algebras.append(alg3)
+    alg.set_differential("a", alg.gen("w") ** 2)
+    alg.set_differential("v", alg.gen("w") * Fraction(3))
+    return alg
+
+
+def alg3():
+    """Odd f and h after the even e: df = e, dh = -2e^2."""
+    alg = Algebra([Generator("e", 2), Generator("f", 1), Generator("h", 3)], trunc=12)
+    alg.set_differential("f", alg.gen("e"))
+    alg.set_differential("h", alg.gen("e") ** 2 * Fraction(-2))
+    return alg
+
+
+def odd_image_algebra():
+    """An even generator with an odd differential after a closed odd one:
+    ds = t and dy = z, with odd r before s and odd t, y between s and z."""
+    alg = Algebra([Generator("r", 1), Generator("s", 2), Generator("t", 3), Generator("y", 1),
+                   Generator("z", 2)], trunc=10)
+    alg.set_differential("s", alg.gen("t"))
+    alg.set_differential("y", alg.gen("z"))
+    return alg
+
+
+def test_differential_squares_to_zero_random():
+    rng = Random(3)
+    # several generator rosters with different differentials
+    algebras = [make_algebra(), alg2(), alg3()]
     for alg in algebras:
         alg.check_differential()
         for _ in range(34):
@@ -422,7 +440,7 @@ def random_monomial(alg, rng):
     """A canonical monomial of form degree <= trunc; invertible exponents may be negative."""
     while True:
         mono = []
-        for i in sorted(rng.sample(range(len(alg.gens)), rng.randint(0, 4))):
+        for i in sorted(rng.sample(range(len(alg.gens)), rng.randint(0, min(4, len(alg.gens))))):
             g = alg.gens[i]
             e = 1 if g.odd else rng.choice([-2, -1, 1, 2]) if g.invertible else rng.randint(1, 2)
             mono.append((i, e))
@@ -672,3 +690,107 @@ def test_divide_exact_names_the_first_remainder_monomial():
         divide_exact(u * x1**2 + x1 * x2, x1**2 + x2**2)
     mono = ((alg.index["u"], 1), (alg.index["x2"], 2))
     assert str(info.value) == f"term {mono} lacks the divisor factor"
+
+
+# ---------------------------------------------------------------------------
+# substitute and differential against their term-by-term oracles
+
+
+ORACLE_MODES = [dga.RATIONAL, dga.PI, dga.QSERIES]
+
+
+def weight_zero_scalar(rng, mode):
+    """A random scalar; in qseries mode of weight 0, so products of any degree add."""
+    c = random_scalar(rng, mode)
+    return QSeries(0, c.coeffs, c.order) if mode == dga.QSERIES else c
+
+
+def random_sparse_element(alg, rng, mode, most=6):
+    return dga.Element(alg, mode, {random_monomial(alg, rng): weight_zero_scalar(rng, mode)
+                                   for _ in range(rng.randint(0, most))})
+
+
+def random_image(alg, rng, mode, name):
+    """Zero, a scalar, one monomial (odd generators allowed), or several terms;
+    an invertible generator more often gets a unit, so its negative powers exist."""
+    kind = rng.choice(["zero", "scalar", "monomial", "terms", "unit"])
+    if kind == "zero":
+        return alg.zero(mode)
+    if kind == "scalar":
+        return weight_zero_scalar(rng, mode)
+    if kind == "unit" and alg.gens[alg.index[name]].invertible:
+        units = [(i, rng.choice([-1, 1, 2])) for i, g in enumerate(alg.gens) if g.invertible]
+        return dga.Element(alg, mode, {tuple(rng.sample(units, rng.randint(1, len(units)))):
+                                       weight_zero_scalar(rng, mode)}) * alg.one(mode)
+    return random_sparse_element(alg, rng, mode, most=1 if kind == "monomial" else 3)
+
+
+def outcome(fn, *args):
+    """The terms in insertion order, or the type of the exception raised."""
+    try:
+        return list(fn(*args).terms.items())
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+@pytest.mark.parametrize("make", [make_algebra, alg2, alg3, kernel_algebra])
+def test_substitute_matches_the_term_by_term_oracle(term_by_term_substitute, make, mode):
+    """Same terms in the same insertion order, or the same exception type."""
+    alg = make()
+    rng = Random(f"substitute:{make.__name__}:{mode}")
+    even = [g.name for g in alg.gens if not g.odd]
+    raised = 0
+    for _ in range(40):
+        a = random_sparse_element(alg, rng, mode, most=8)
+        images = {name: random_image(alg, rng, mode, name)
+                  for name in rng.sample(even, rng.randint(1, len(even)))}
+        got = outcome(substitute, a, images)
+        assert got == outcome(term_by_term_substitute, a, images), (a, images)
+        raised += isinstance(got, type)
+    assert raised < 40
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+@pytest.mark.parametrize("make", [make_algebra, alg2, alg3, odd_image_algebra])
+def test_differential_matches_the_term_by_term_oracle(term_by_term_differential, make, mode):
+    alg = make()
+    alg.check_differential()
+    rng = Random(f"differential:{make.__name__}:{mode}")
+    for _ in range(40):
+        a = random_sparse_element(alg, rng, mode, most=8)
+        assert differential(a).terms == term_by_term_differential(a).terms, a
+
+
+def test_substitute_raises_what_the_oracle_raises(term_by_term_substitute):
+    """A negative power of a non-unit image is a ZeroDivisionError, unless an
+    earlier factor of the term already vanished; an odd generator takes no image."""
+    alg = kernel_algebra()
+    b, d, f = alg.gen("b"), alg.gen("d"), alg.gen("f", power=-1)
+    for images, want in [({"f": d}, ZeroDivisionError), ({"d": 0, "f": d}, []),
+                         ({"b": d**2, "d": d**3, "f": d}, []),  # d^5 is truncated away
+                         ({"b": d, "d": d**3, "f": d}, ZeroDivisionError)]:
+        got = outcome(substitute, b * d * f, images)
+        assert got == outcome(term_by_term_substitute, b * d * f, images) == want
+    for sub in (substitute, term_by_term_substitute):
+        with pytest.raises(ValueError, match="even generators only"):
+            sub(d, {"a": d})
+
+
+def test_differential_of_a_negative_power():
+    """d(b^-1) = -b^-2 db, so d(b^-1 b) = d(1) = 0 by Leibniz."""
+    alg = Algebra([Generator("b", 0, invertible=True), Generator("y", 1)], trunc=4)
+    alg.set_differential("b", alg.gen("y"))
+    b, inv, y = alg.gen("b"), alg.gen("b", power=-1), alg.gen("y")
+    assert differential(inv) == -(alg.gen("b", power=-2) * y)
+    assert differential(inv) * b + inv * differential(b) == differential(inv * b) == alg.zero()
+
+
+def test_d_image_is_converted_once_per_mode():
+    alg = make_algebra()
+    h = alg.index["H"]
+    first = alg.d_image(h, dga.QSERIES)
+    assert alg.d_image(h, dga.QSERIES) is first
+    assert first == alg.d_image(h, dga.RATIONAL).convert(dga.QSERIES)
+    alg.set_differential("H", alg.gen("x1") ** 2)
+    assert alg.d_image(h, dga.QSERIES) == alg.gen("x1", dga.QSERIES) ** 2

@@ -1,4 +1,5 @@
-"""The probes that perfbench requires on a workload fire on its pfaffian-product ops.
+"""The probes that perfbench requires on a workload fire on its pfaffian-product
+and anomaly ops.
 
 perfbench/probes.py names, per probe, the workloads on which it must fire
 (``fires_on``); a traced run that leaves one silent exits with a coverage
@@ -6,7 +7,9 @@ error.  This test runs every ``pfaffian-product`` op of ``exact`` and
 ``numeric`` at the default seed under the pfaff probes (and
 ``dga.unit_inverse``, which the pfaff kernels reach) and the four hot
 ``scalars.*`` operator probes, and checks that each one assigned to the
-workload fired.  The scalar probes share two statistics in perfbench, so here
+workload fired.  It runs the ``anomaly`` ops of ``exact`` the same way under
+the probes on the two dga kernels and the three witten anomaly functions, so
+a faster anomaly check that stopped calling one of them fails here.  The scalar probes share two statistics in perfbench, so here
 each gets its own, named after its target: a faster path that bypassed one
 wrapped operator would leave it silent.  The test reads perfbench/ and writes
 nothing there.
@@ -29,6 +32,9 @@ PFAFF_PROBES = tuple(p for p in probes.PROBES
                      if p.target.startswith("pfaff.") or p.target == "dga.unit_inverse")
 SCALAR_PROBES = tuple(replace(p, stat=p.target) for p in probes.PROBES
                       if p.target.startswith("scalars."))
+ANOMALY_TARGETS = ("dga.substitute", "dga.differential", "witten.gamma_transform",
+                   "witten.anomaly_delta", "witten.anomaly_primitive")
+ANOMALY_PROBES = tuple(p for p in probes.PROBES if p.target in ANOMALY_TARGETS)
 
 
 def test_the_four_scalar_operator_probes_are_required_on_exact():
@@ -49,3 +55,14 @@ def test_pfaffian_product_ops_fire_their_workload_probes(workload, capsys):
             assert cli.main(list(op.argv)) == 0
     capsys.readouterr()
     tracer.check_coverage(workload)
+
+
+def test_anomaly_ops_fire_the_anomaly_probes(capsys):
+    ops = [op for op in wl.build("exact", wl.DEFAULT_SEED).ops if op.name.startswith("anomaly")]
+    assert ops and sorted(p.target for p in ANOMALY_PROBES) == sorted(ANOMALY_TARGETS)
+    assert all("exact" in p.fires_on for p in ANOMALY_PROBES)
+    with probes.Tracer(ANOMALY_PROBES) as tracer:
+        for op in ops:
+            assert cli.main(list(op.argv)) == 0
+    capsys.readouterr()
+    tracer.check_coverage("exact")
