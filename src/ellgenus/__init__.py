@@ -19,7 +19,6 @@ from .geom import (
     ChernRootModel,
     ManifoldDescriptor,
     MissingNumber,
-    integrate,
     pontryagin_character_component,
     power_sums_to_pontryagin,
 )

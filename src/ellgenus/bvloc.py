@@ -119,6 +119,8 @@ class EquivariantSurfaceProblem:
         if isinstance(grid, bool) or not isinstance(grid, int) or not 1 <= grid <= MAX_GRID:
             raise ValueError(f"grid must be an integer in [1, {MAX_GRID}], got {grid!r}")
         try:
+            if isinstance(s, bool):  # Fraction(True) would read it as 1, as grid does not
+                raise ValueError
             speed = Fraction(s)
             float(speed)  # a Fraction past the double range raises OverflowError here
         except (ValueError, OverflowError) as exc:

@@ -44,6 +44,7 @@ from .scalars import QI, bernoulli, zeta_even_over_pi_power
 from .witten import (
     anomaly_delta,
     anomaly_primitive,
+    partition_numbers,
     string_modularity_check,
     witten_class,
 )
@@ -145,14 +146,12 @@ def _check_q_order(q_order: int) -> None:
 def _class_terms(roots: int, dim: int) -> int:
     """Witten-class terms, counted up to just past MAX_CLASS_TERMS without building the
     class: sum over d <= dim/4 of C(roots - 1 + d, d) monomials in the x_j^2 times the
-    p(d) E-monomials of weight 2d (Euler's pentagonal recurrence); one root: E-monomials."""
+    p(d) E-monomials of weight 2d; one root: E-monomials."""
     if roots < 1:
         return 1
-    p, total = [], 0
-    for d in range(dim // 4 + 1):
-        p.append(sum((-1) ** (k + 1) * p[d - g] for k in range(1, d + 1)
-                     for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= d) if d else 1)
-        total += math.comb(roots - 1 + d, d) * p[d]
+    total = 0
+    for d, p in zip(range(dim // 4 + 1), partition_numbers()):
+        total += math.comb(roots - 1 + d, d) * p
         if total > MAX_CLASS_TERMS:
             break
     return total

@@ -10,20 +10,24 @@ which an invariant test enforces.  root_blocks is the one layout of such
 blocks, shared with the torus- and circle-mode blocks of ``pfaff``.  The
 Pontryagin character comes from its splitting-principle closed form
 ph_k = s_k / k, s_k = sum_j x_j^{2k}; the tests keep the Chern-Weil trace
-Tr(R^{2k}) / (2k (2 pi i)^{2k}) as its oracle.  Newton's identities on the
-x_j^2 translate the power sums into Pontryagin generators so that genus output
-can be integrated against the Pontryagin numbers of a ManifoldDescriptor.
+Tr(R^{2k}) / (2k (2 pi i)^{2k}) as its oracle.
+
+The symmetric-function side of the genus lives here too, with ``dga`` as its
+only polynomial ring.  ``power_sums_to_pontryagin`` writes the power sums of
+the x_j^2 in the Pontryagin algebra's generators p_i (the elementary symmetric
+functions of the x_j^2) by Newton's identities, and ``integrate_symbolic`` is
+the one loop that pairs a class's top-degree monomials p_lambda b^{dim/2}
+E-monomial with the Pontryagin numbers of a ManifoldDescriptor.  ``symbol_k``
+reads back the k of the E{2k} names that ``eisenstein_symbols`` makes.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from fractions import Fraction
 
 from . import dga
 from .dga import Algebra, Element, Generator
-from .qmod import QSeries
 from .scalars import QI, PiScalar
 
 
@@ -39,6 +43,11 @@ def eisenstein_symbols(dim: int) -> list[Generator]:
     return [
         Generator(f"E{2 * k}", 0, weight=2 * k) for k in range(1, dim // 4 + 1)
     ]
+
+
+def symbol_k(name: str) -> int:
+    """k for the symbol E{2k}, 0 for any other generator."""
+    return int(name[1:]) // 2 if name.startswith("E") and name[1:].isdigit() else 0
 
 
 class ChernRootModel:
@@ -114,70 +123,28 @@ def pontryagin_character_component(model: ChernRootModel, k: int, mode=dga.RATIO
 # Newton identities: power sums in the x_j^2 against elementary symmetric p_i
 
 
-def power_sums_to_pontryagin(k_max: int) -> dict:
-    """Rewrite table {k: {partition: coeff}} with s_k expressed in the p_i.
-
-    Partitions are decreasing tuples of the indices i of p_i, e.g.
-    s_2 = p1^2 - 2 p2 is {(1, 1): 1, (2,): -2}.
-    """
-    if k_max < 1:
-        raise ValueError("need k_max >= 1")
-    table = {}
-    for k in range(1, k_max + 1):
-        acc = _ppoly_scale(_ppoly_single(k), Fraction((-1) ** (k - 1) * k))
-        for i in range(1, k):
-            prod = _ppoly_mul(_ppoly_single(i), table[k - i])
-            acc = _ppoly_add(acc, _ppoly_scale(prod, Fraction((-1) ** (i - 1))))
-        table[k] = acc
-    return table
-
-
-def _ppoly_single(i):
-    return {(i,): Fraction(1)}
-
-
-def _ppoly_scale(p, c):
-    return {m: c * v for m, v in p.items() if c * v != 0}
-
-
-def _ppoly_add(a, b):
-    out = dict(a)
-    for m, v in b.items():
-        s = out.get(m, Fraction(0)) + v
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _ppoly_mul(a, b):
-    out = {}
-    for ma, va in a.items():
-        for mb, vb in b.items():
-            m = tuple(sorted(ma + mb, reverse=True))
-            out[m] = out.get(m, Fraction(0)) + va * vb
-    return {m: v for m, v in out.items() if v != 0}
-
-
 def pontryagin_algebra(dim: int) -> Algebra:
     """Algebra on Pontryagin generators p1..p_{dim/4} plus b and the E-symbols."""
-    kmax = dim // 4
-    gens = [Generator(f"p{i}", 4 * i) for i in range(1, kmax + 1)]
+    gens = [Generator(f"p{i}", 4 * i) for i in range(1, dim // 4 + 1)]
     gens.append(Generator("b", 0, invertible=True))
-    gens.append(Generator("u", 0, weight=2))
-    gens.append(Generator("j", 0, invertible=True, weight=-1))
     gens.extend(eisenstein_symbols(dim))
     return Algebra(gens, trunc=dim)
 
 
-def power_sum_element(alg: Algebra, k: int, table=None) -> Element:
-    """s_k as an element of a Pontryagin algebra."""
-    table = table or power_sums_to_pontryagin(k)
-    return alg.sum(
-        alg.element({tuple(Counter(alg.index[f"p{i}"] for i in partition).items()): coeff})
-        for partition, coeff in table[k].items()
-    )
+def power_sums_to_pontryagin(alg: Algebra) -> list[Element]:
+    """[s_1, .., s_kmax] in a Pontryagin algebra, kmax = dim/4, by Newton's identities
+
+        s_k = sum_{i<k} (-1)^{i-1} p_i s_{k-i} + (-1)^{k-1} k p_k,
+
+    e.g. s_2 = p1^2 - 2 p2."""
+    p = [alg.gen(f"p{i}") for i in range(1, alg.trunc // 4 + 1)]
+    s = []
+    for k in range(1, len(p) + 1):
+        s.append(alg.sum(
+            [p[i - 1] * s[k - i - 1] * (-1) ** (i - 1) for i in range(1, k)]
+            + [p[k - 1] * ((-1) ** (k - 1) * k)]
+        ))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +185,14 @@ class ManifoldDescriptor:
 
     @staticmethod
     def from_record(rec: dict) -> "ManifoldDescriptor":
+        dim = rec["dim"]
+        if type(dim) is not int:  # not a float, whose fraction int() would drop, nor a bool
+            raise TypeError(f"dim must be a JSON integer, got {dim!r}")
         nums = {
             tuple(int(s) for s in key.split(",")): Fraction(val)
             for key, val in rec.get("pontryagin_numbers", {}).items()
         }
-        return ManifoldDescriptor(int(rec["dim"]), nums)
+        return ManifoldDescriptor(dim, nums)
 
     def dumps(self) -> str:
         return json.dumps(self.to_record())
@@ -241,50 +211,9 @@ def _canonical_partition(part) -> tuple:
     return tuple(sorted((int(i) for i in part), reverse=True))
 
 
-def _monomial_partition(alg: Algebra, mono):
-    """Partition and bookkeeping exponents of a Pontryagin-algebra monomial."""
-    partition = []
-    beta_exp = 0
-    eweight = 0
-    for i, e in mono:
-        name = alg.gens[i].name
-        if name.startswith("p"):
-            partition.extend([int(name[1:])] * e)
-        elif name == "b":
-            beta_exp = e
-        elif name.startswith("E"):
-            eweight += alg.gens[i].weight * e
-        else:
-            raise ValueError(f"cannot integrate monomial containing {name}")
-    return tuple(sorted(partition, reverse=True)), beta_exp, eweight
-
-
-def integrate(descriptor: ManifoldDescriptor, cls: Element):
-    """Pick the form-degree-dim component and pair p_lambda against the numbers.
-
-    Returns a QSeries in qseries mode, a Fraction in rational mode.  The class
-    must already be expressed in Pontryagin generators.
-    """
-    alg = cls.algebra
-    dim = descriptor.dim
-    if cls.mode == dga.QSERIES:
-        total = QSeries.zero()
-    elif cls.mode == dga.RATIONAL:
-        total = Fraction(0)
-    else:
-        raise ValueError("integration needs exact (rational or qseries) classes")
-    for mono, coeff in cls.terms.items():
-        if alg.form_degree(mono) != dim:
-            continue
-        partition, beta_exp, eweight = _monomial_partition(alg, mono)
-        if beta_exp and beta_exp != dim // 2:
-            raise ValueError(f"top term carries b^{beta_exp}, expected b^{dim // 2}")
-        total = total + coeff * descriptor.number(partition)
-    return total
-
-
 def integrate_symbolic(descriptor: ManifoldDescriptor, cls: Element) -> dict:
-    """Integrate a rational-mode class keeping the Eisenstein symbols.
+    """Pair the form-degree-dim part of a rational-mode class in Pontryagin
+    generators with the descriptor's numbers, keeping the Eisenstein symbols.
 
     Returns {E-monomial exponents tuple: Fraction} where the key lists the
     exponent of E{2k} for k = 1..dim/4; asserts the genus weight dim/2 on
@@ -292,24 +221,28 @@ def integrate_symbolic(descriptor: ManifoldDescriptor, cls: Element) -> dict:
     """
     alg = cls.algebra
     dim = descriptor.dim
-    kmax = dim // 4
     out = {}
     for mono, coeff in cls.terms.items():
         if alg.form_degree(mono) != dim:
             continue
-        partition, beta_exp, eweight = _monomial_partition(alg, mono)
+        partition, beta_exp, eweight, ekey = [], 0, 0, [0] * (dim // 4)
+        for i, e in mono:
+            g = alg.gens[i]
+            if k := symbol_k(g.name):
+                eweight += g.weight * e
+                ekey[k - 1] = e
+            elif g.name == "b":
+                beta_exp = e
+            elif g.name.startswith("p"):
+                partition.extend([int(g.name[1:])] * e)
+            else:
+                raise ValueError(f"cannot integrate monomial containing {g.name}")
         if beta_exp != dim // 2 or eweight != dim // 2:
             raise AssertionError(
                 f"weight bookkeeping broke: b^{beta_exp}, E-weight {eweight}, dim {dim}"
             )
-        ekey = [0] * kmax
-        for i, e in mono:
-            name = alg.gens[i].name
-            if name.startswith("E"):
-                ekey[int(name[1:]) // 2 - 1] = e
         ekey = tuple(ekey)
-        value = coeff * descriptor.number(partition)
-        s = out.get(ekey, Fraction(0)) + value
+        s = out.get(ekey, Fraction(0)) + coeff * descriptor.number(partition)
         if s:
             out[ekey] = s
         else:

@@ -332,9 +332,14 @@ class QSeries:
 
     @staticmethod
     def from_record(rec: dict) -> "QSeries":
-        lo = int(rec["min_exp"])
-        coeffs = {lo + i: Fraction(c) for i, c in enumerate(rec["coeffs"])}
-        return QSeries(int(rec["weight"]), coeffs, rec.get("order"))
+        weight, lo, order, coeffs = rec["weight"], rec["min_exp"], rec.get("order"), rec["coeffs"]
+        for key, value in (("weight", weight), ("min_exp", lo), ("order", order)):
+            # a float's fraction would be dropped by int(), and a bool read as 0 or 1
+            if type(value) is not int and (key != "order" or value is not None):
+                raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+        if type(coeffs) is not list:  # a string would be read digit by digit
+            raise TypeError(f"coeffs must be a JSON list, got {coeffs!r}")
+        return QSeries(weight, {lo + i: Fraction(c) for i, c in enumerate(coeffs)}, order)
 
     def dumps(self) -> str:
         return json.dumps(self.to_record())

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 from . import dga
 from .dga import Element, divide_exact, exp_nilpotent, substitute, unit_inverse
@@ -42,8 +43,8 @@ from .geom import (
     integrate_symbolic,
     pontryagin_algebra,
     pontryagin_character_component,
-    power_sum_element,
     power_sums_to_pontryagin,
+    symbol_k,
 )
 from .qmod import (
     EMonomials,
@@ -65,14 +66,14 @@ def eisenstein_symbol_series(k: int, q_order: int) -> QSeries:
 def q_evaluate(el: Element, q_order: int) -> Element:
     """Replace the Eisenstein symbols by their q-series; result in qseries mode."""
     alg = el.algebra
-    symbol_k = {i: k for i, g in enumerate(alg.gens) if (k := _symbol_k(g.name))}
+    ks_of = {i: k for i, g in enumerate(alg.gens) if (k := symbol_k(g.name))}
     table = EMonomials(q_order)
     scales = {}  # ks -> _symbol_scale(ks)
     zero = QSeries.zero()
     out = {}
     for mono, coeff in el.convert(dga.RATIONAL).terms.items():
-        rest = tuple((i, e) for i, e in mono if i not in symbol_k)
-        ks = tuple(sorted(symbol_k[i] for i, e in mono if i in symbol_k for _ in range(e)))
+        rest = tuple((i, e) for i, e in mono if i not in ks_of)
+        ks = tuple(sorted(ks_of[i] for i, e in mono if i in ks_of for _ in range(e)))
         if ks not in scales:
             scales[ks] = _symbol_scale(ks)
         s = out.get(rest, zero) + table[ks] * (coeff * scales[ks])
@@ -81,11 +82,6 @@ def q_evaluate(el: Element, q_order: int) -> Element:
         else:
             out[rest] = s
     return alg.element(out, dga.QSERIES)
-
-
-def _symbol_k(name: str) -> int:
-    """k for the symbol E{2k}, 0 for any other generator."""
-    return int(name[1:]) // 2 if name.startswith("E") and name[1:].isdigit() else 0
 
 
 def _symbol_scale(ks: tuple) -> Fraction:
@@ -180,12 +176,10 @@ def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
     if dim == 0:
         return {(): Fraction(1)}
     _require_every_number(descriptor)
-    kmax = dim // 4
     alg = pontryagin_algebra(dim)
-    table = power_sums_to_pontryagin(kmax)
     s_products = {(): alg.one()}
-    for k in range(1, kmax + 1):
-        s_products[(k,)] = power_sum_element(alg, k, table)
+    for k, s_k in enumerate(power_sums_to_pontryagin(alg), 1):
+        s_products[(k,)] = s_k
 
     def s_product(part):
         if part not in s_products:
@@ -198,7 +192,7 @@ def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
         denominator = math.prod(k**m * math.factorial(m) for k, m in mult.items())
         return s_product(part) * alg.element({e_part: Fraction(1, denominator)})
 
-    top = alg.sum(map(term, _partitions(kmax)))
+    top = alg.sum(map(term, _partitions(dim // 4)))
     return integrate_symbolic(descriptor, top * alg.gen("b", power=dim // 2))
 
 
@@ -241,7 +235,7 @@ def gamma_transform(el: Element) -> Element:
         images["b"] = alg.gen("b", el.mode) * alg.gen("j", el.mode, -1)
     for g in alg.gens:
         name = g.name
-        k = _symbol_k(name)
+        k = symbol_k(name)
         if k:
             jpow = alg.gen("j", el.mode, 2 * k)
             image = jpow * alg.gen(name, el.mode)
@@ -346,15 +340,13 @@ def _partitions(k: int, largest: int | None = None):
             yield (first,) + tail
 
 
-def _partition_count_exceeds(k: int, n: int) -> bool:
-    """Whether p(k) > n, by Euler's pentagonal recurrence
+def partition_numbers():
+    """p(0), p(1), p(2), .. by Euler's pentagonal recurrence
 
-        p(j) = sum_{i >= 1} (-1)^(i+1) (p(j - i(3i-1)/2) + p(j - i(3i+1)/2)),
-
-    stopping at the first p(j) > n: p is nondecreasing, so the work is bounded
-    by n however large k is."""
+        p(j) = sum_{i >= 1} (-1)^(i+1) (p(j - i(3i-1)/2) + p(j - i(3i+1)/2))."""
     counts = [1]
-    for j in range(1, k + 1):
+    yield 1
+    for j in count(1):
         total, i = 0, 1
         while (pent := i * (3 * i - 1) // 2) <= j:
             sign = 1 if i % 2 else -1
@@ -362,10 +354,18 @@ def _partition_count_exceeds(k: int, n: int) -> bool:
             if pent + i <= j:
                 total += sign * counts[j - pent - i]
             i += 1
-        if total > n:
-            return True
         counts.append(total)
-    return counts[-1] > n
+        yield total
+
+
+def _partition_count_exceeds(k: int, n: int) -> bool:
+    """Whether p(k) > n, stopping at the first p(j) > n: p is nondecreasing, so
+    the work is bounded by n however large k is."""
+    for j, p in enumerate(partition_numbers()):
+        if p > n:
+            return True
+        if j == k:
+            return False
 
 
 def _require_every_number(descriptor: ManifoldDescriptor) -> None:

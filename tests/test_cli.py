@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, MAX_Q_ORDER, OK, 
 from ellgenus.geom import ChernRootModel
 from ellgenus.pfaff import regularized_product
 from ellgenus.qmod import QSeries, eisenstein_q
-from ellgenus.witten import witten_class_symbolic
+from ellgenus.witten import _partitions, witten_class_symbolic
 
 qmod_eisenstein_lattice = qmod.eisenstein_lattice
 
@@ -341,6 +342,18 @@ def test_class_terms_bounds_the_witten_class(roots, dim):
     assert terms == cli._class_terms(roots, dim) or roots > 1
 
 
+def test_class_terms_is_the_closed_form_count_below_the_cap():
+    for roots in range(1, 7):
+        for dim in range(49):
+            count = sum(math.comb(roots - 1 + d, d) * sum(1 for _ in _partitions(d))
+                        for d in range(dim // 4 + 1))
+            terms = cli._class_terms(roots, dim)
+            if count <= cli.MAX_CLASS_TERMS:
+                assert terms == count, (roots, dim)
+            else:  # the count stops once it is past the cap
+                assert cli.MAX_CLASS_TERMS < terms <= count, (roots, dim)
+
+
 @pytest.mark.parametrize("roots,dim", [("0", "8"), ("1", "0")])
 def test_anomaly_rejects_a_zero_p1(capsys, roots, dim):
     err = assert_input_error(capsys, "anomaly", "--roots", roots, "--dim", dim)
@@ -567,12 +580,38 @@ def file_argv(tmp_path, kind, record):
     if kind == "genus":
         record = {"dim": 8, "pontryagin_numbers": record}
     path.write_text(json.dumps(record))
-    flag = {"genus": "--descriptor", "decompose": "--series", "localize": "--problem"}[kind]
     extra = ["--t", "0.5", "--t", "2"] if kind == "localize" else []
-    return [kind, flag, str(path), *extra]
+    return [kind, FILE_FLAGS[kind], str(path), *extra]
+
+
+FILE_FLAGS = {"genus": "--descriptor", "decompose": "--series", "localize": "--problem"}
 
 
 @pytest.mark.parametrize("kind,record", ZERO_DENOMINATOR_FILES)
 def test_a_zero_denominator_is_an_input_error_naming_the_file(capsys, tmp_path, kind, record):
     err = assert_input_error(capsys, *file_argv(tmp_path, kind, record))
     assert err == f"error: {tmp_path / 'in.json'}: zero denominator: Fraction(1, 0)\n"
+
+
+# Integer fields were read through int(), which truncated a float (dim 4.9 as 4)
+# and took a bool as 0 or 1, and a string of coefficients was read digit by digit
+# ("12" as 1 + 2q); a bool s was read as 1.  Each differs from a valid file only
+# in the one field, which the one error line names.
+SERIES = {"weight": 4, "min_exp": 0, "coeffs": ["1", "240"], "order": 2}
+
+
+@pytest.mark.parametrize("kind,record,message", [
+    ("genus", {"dim": 4.9, "pontryagin_numbers": {"1": "1"}}, "dim must be a JSON integer, got 4.9"),
+    ("genus", {"dim": True, "pontryagin_numbers": {}}, "dim must be a JSON integer, got True"),
+    ("decompose", {**SERIES, "weight": 4.5}, "weight must be a JSON integer, got 4.5"),
+    ("decompose", {**SERIES, "weight": True}, "weight must be a JSON integer, got True"),
+    ("decompose", {**SERIES, "order": 5.7}, "order must be a JSON integer, got 5.7"),
+    ("decompose", {**SERIES, "min_exp": 0.5}, "min_exp must be a JSON integer, got 0.5"),
+    ("decompose", {**SERIES, "coeffs": "12"}, "coeffs must be a JSON list, got '12'"),
+    ("localize", {"alpha0": "z", "g": "-1", "s": True, "grid": 8}, "s must be a number"),
+])
+def test_a_misread_field_is_an_input_error_naming_it(capsys, tmp_path, kind, record, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(record))
+    assert message in assert_input_error(capsys, kind, FILE_FLAGS[kind], str(path))
+

@@ -9,14 +9,14 @@ from ellgenus.geom import (
     ChernRootModel,
     ManifoldDescriptor,
     MissingNumber,
-    integrate,
+    eisenstein_symbols,
+    integrate_symbolic,
     pontryagin_algebra,
     pontryagin_character_component,
-    power_sum_element,
     power_sums_to_pontryagin,
     root_blocks,
+    symbol_k,
 )
-from ellgenus.qmod import eisenstein_q
 from ellgenus.scalars import QI, PiScalar
 
 
@@ -84,10 +84,15 @@ def test_whitney_additivity():
 
 
 def test_newton_table_frozen():
-    t = power_sums_to_pontryagin(3)
-    assert t[1] == {(1,): 1}
-    assert t[2] == {(1, 1): 1, (2,): -2}
-    assert t[3] == {(1, 1, 1): 1, (2, 1): -3, (3,): 3}
+    alg = pontryagin_algebra(12)
+    p1, p2, p3 = (alg.gen(f"p{i}") for i in (1, 2, 3))
+    assert power_sums_to_pontryagin(alg) == [p1, p1**2 - p2 * 2, p1**3 - p2 * p1 * 3 + p3 * 3]
+    assert power_sums_to_pontryagin(pontryagin_algebra(0)) == []
+
+
+def test_pontryagin_algebra_holds_only_p_b_and_the_symbols():
+    alg = pontryagin_algebra(12)
+    assert sorted(g.name for g in alg.gens) == ["E2", "E4", "E6", "b", "p1", "p2", "p3"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -107,14 +112,19 @@ def test_newton_rewrite_against_explicit_roots(k):
                 out = out + term
         return out
 
-    sk = m.power_sum(k)
+    palg = pontryagin_algebra(4 * k)
     rebuilt = m.algebra.zero()
-    for partition, coeff in power_sums_to_pontryagin(k)[k].items():
+    for mono, coeff in power_sums_to_pontryagin(palg)[k - 1].terms.items():
         term = m.algebra.one() * coeff
-        for i in partition:
-            term = term * elementary(i)
+        for i, e in mono:
+            term = term * elementary(int(palg.gens[i].name[1:])) ** e
         rebuilt = rebuilt + term
-    assert rebuilt == sk
+    assert rebuilt == m.power_sum(k)
+
+
+def test_symbol_k_reads_back_the_eisenstein_symbol_names():
+    assert [symbol_k(g.name) for g in eisenstein_symbols(24)] == [1, 2, 3, 4, 5, 6]
+    assert [symbol_k(name) for name in ("b", "p2", "E", "Ex", "x1")] == [0] * 5
 
 
 def test_descriptor_validation():
@@ -128,32 +138,38 @@ def test_descriptor_validation():
 
 def test_integrate_examples():
     alg = pontryagin_algebra(8)
-    b4 = alg.gen("b") ** 4
-    s2 = power_sum_element(alg, 2)
+    b4, e4 = alg.gen("b", power=4), alg.gen("E4")
+    s2 = power_sums_to_pontryagin(alg)[1]
     d = ManifoldDescriptor(8, {(1, 1): 4, (2,): 7})
-    assert integrate(d, s2 * b4) == -10
-    d4 = ManifoldDescriptor(4, {(1,): 0})
+    assert integrate_symbolic(d, s2 * b4 * e4) == {(0, 1): -10}
     alg4 = pontryagin_algebra(4)
-    assert integrate(d4, alg4.gen("p1") * alg4.gen("b") ** 2) == 0
-    d4b = ManifoldDescriptor(4, {(1,): 48})
-    assert integrate(d4b, alg4.gen("p1") * alg4.gen("b") ** 2) == 48
+    top4 = alg4.gen("p1") * alg4.gen("b", power=2) * alg4.gen("E2")
+    assert integrate_symbolic(ManifoldDescriptor(4, {(1,): 0}), top4) == {}
+    assert integrate_symbolic(ManifoldDescriptor(4, {(1,): 48}), top4) == {(1,): 48}
     with pytest.raises(MissingNumber):
-        integrate(ManifoldDescriptor(8, {(2,): 7}), s2 * b4)
+        integrate_symbolic(ManifoldDescriptor(8, {(2,): 7}), s2 * b4 * e4)
 
 
 def test_integrate_ignores_lower_degrees_and_is_linear():
     alg = pontryagin_algebra(8)
     d = ManifoldDescriptor(8, {(1, 1): 3, (2,): 5})
-    b4 = alg.gen("b") ** 4
+    b4, e2, e4 = alg.gen("b", power=4), alg.gen("E2"), alg.gen("E4")
     p2, p11 = alg.gen("p2"), alg.gen("p1") ** 2
     low = alg.gen("p1")  # degree 4 != 8: integrates to zero
-    assert integrate(d, (p2 + p11) * b4 + low) == 8
-    a = integrate(d, p2 * b4 * Fraction(2, 3))
-    assert a == Fraction(10, 3)
-    # qseries-valued classes integrate to series
-    cls = (p2 * b4).convert(dga.QSERIES) * eisenstein_q(2, 4)
-    out = integrate(d, cls)
-    assert out == eisenstein_q(2, 4) * 5
+    assert integrate_symbolic(d, (p2 + p11) * b4 * e4 + low) == {(0, 1): 8}
+    assert integrate_symbolic(d, p2 * b4 * e4 * Fraction(2, 3)) == {(0, 1): Fraction(10, 3)}
+    # each E-monomial keeps its own key
+    assert integrate_symbolic(d, (p2 * e2**2 + p11 * e4) * b4) == {(2, 0): 5, (0, 1): 3}
+
+
+def test_integrate_checks_the_weight_and_the_generators():
+    alg = pontryagin_algebra(8)
+    with pytest.raises(AssertionError, match="weight bookkeeping"):
+        integrate_symbolic(ManifoldDescriptor(8, {(2,): 1}), alg.gen("p2") * alg.gen("b", power=4))
+    m = ChernRootModel(1, 8)
+    top = m.roots()[0] ** 4 * m.beta() ** 4 * m.algebra.gen("E4")
+    with pytest.raises(ValueError, match="containing x1"):
+        integrate_symbolic(ManifoldDescriptor(8, {(2,): 1}), top)
 
 
 def test_descriptor_file_round_trip():

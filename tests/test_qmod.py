@@ -105,6 +105,10 @@ def test_qseries_serialization_round_trip():
     w = QSeries(-2, {-1: Fraction(1), 0: Fraction(2, 3)}, 4)
     assert QSeries.loads(w.dumps()) == w
     assert w.min_exp == -1
+    # an untruncated series: a null order, or none at all
+    u = QSeries(4, {0: Fraction(1), 3: Fraction(2)}, None)
+    assert QSeries.loads(u.dumps()) == u
+    assert QSeries.from_record({"weight": 4, "min_exp": 0, "coeffs": ["1", "0", "0", "2"]}) == u
 
 
 def test_qseries_render():

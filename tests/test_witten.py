@@ -11,7 +11,6 @@ from ellgenus.geom import (
     ManifoldDescriptor,
     integrate_symbolic,
     pontryagin_algebra,
-    power_sum_element,
     power_sums_to_pontryagin,
 )
 from ellgenus.pfaff import a_hat_class, a_hat_product, regularized_product
@@ -25,6 +24,7 @@ from ellgenus.scalars import QI
 from ellgenus.witten import (
     _partition_count_exceeds,
     _partitions,
+    partition_numbers,
     anomaly_delta,
     anomaly_delta_symbolic,
     anomaly_primitive,
@@ -105,6 +105,11 @@ def test_genus_propagates_missing_numbers():
 
     with pytest.raises(MissingNumber):
         witten_genus(ManifoldDescriptor(8, {(2,): 7}), 4)
+
+
+def test_partition_numbers_count_the_partitions():
+    counts = [sum(1 for _ in _partitions(k)) for k in range(30)]
+    assert [p for p, _ in zip(partition_numbers(), range(30))] == counts
 
 
 def test_partition_count_by_the_pentagonal_recurrence():
@@ -275,13 +280,11 @@ def random_descriptor(rng, dim, string=False):
 
 def genus_by_expansion(descriptor):
     """The graded-algebra route: exp(sum_k s_k b^{2k} E{2k} / k), then integrate."""
-    kmax = descriptor.dim // 4
     alg = pontryagin_algebra(descriptor.dim)
-    table = power_sums_to_pontryagin(kmax)
-    arg = alg.zero()
-    for k in range(1, kmax + 1):
-        s_k = power_sum_element(alg, k, table) * Fraction(1, k)
-        arg = arg + s_k * alg.gen("b") ** (2 * k) * alg.gen(f"E{2 * k}")
+    arg = alg.sum(
+        s_k * Fraction(1, k) * alg.gen("b", power=2 * k) * alg.gen(f"E{2 * k}")
+        for k, s_k in enumerate(power_sums_to_pontryagin(alg), 1)
+    )
     return integrate_symbolic(descriptor, dga.exp_nilpotent(arg))
 
 
