@@ -1,5 +1,8 @@
 """Exact and numeric toolkit for Eisenstein series, regularized Pfaffian
-products, the Witten genus, and finite-dimensional localization checks."""
+products, the Witten genus, and finite-dimensional localization checks.
+
+The localization names load ``bvloc``, and with it numpy, on first use
+(PEP 562), so the exact layers import without numpy."""
 
 from .dga import (
     Algebra,
@@ -11,7 +14,6 @@ from .dga import (
     divide_exact,
     exp_nilpotent,
     impose_relation,
-    log_unital,
     substitute,
     unit_inverse,
 )
@@ -43,7 +45,6 @@ from .qmod import (
     quasi_modular_decompose,
     transform_residual,
 )
-from .bvloc import EquivariantSurfaceProblem, FixedPointDegenerate, bv_localize, q_closedness_residual
 from .witten import (
     anomaly_delta,
     anomaly_primitive,
@@ -53,3 +54,13 @@ from .witten import (
 )
 
 __version__ = "0.1.0"
+
+_BVLOC = frozenset({"EquivariantSurfaceProblem", "FixedPointDegenerate", "bv_localize", "q_closedness_residual"})
+
+
+def __getattr__(name):
+    if name in _BVLOC:
+        from . import bvloc
+
+        return getattr(bvloc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,10 @@ byte-identical output.  Two formats are supported: ``text`` (human tables) and
 ``records`` (line-delimited JSON with stable field names).  Every report
 starts with the full effective configuration.  Exit codes: 0 success, 1 input
 error, 2 mathematical identity violated.
+
+Only ``eisenstein``, ``pfaffian-product`` and ``localize`` compute in floats.
+Their handlers import numpy (and ``localize`` imports ``bvloc``) when they run,
+so the exact subcommands never load it.
 """
 
 from __future__ import annotations
@@ -16,10 +20,7 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import dga
-from .bvloc import EquivariantSurfaceProblem, bv_localize
 from .dga import differential
 from .geom import ChernRootModel, ManifoldDescriptor
 from .pfaff import (
@@ -269,6 +270,8 @@ def _build_parser():
 
 
 def _cmd_eisenstein(args, report: Report) -> int:
+    import numpy as np
+
     if not 1 <= args.k <= MAX_K or not 1 <= args.bound <= MAX_BOUND:
         raise ValueError(f"need 1 <= --k <= {MAX_K}, --bound >= 1 and --bound <= {MAX_BOUND}")
     _check_q_order(args.q_order)
@@ -326,12 +329,34 @@ def _cmd_witten_class(args, report: Report) -> int:
     cls = witten_class(model, args.q_order)
     _config_record(report, args, roots=args.roots, dim=args.dim, q_order=args.q_order)
     report.record(record="witten-class", rendered=cls.render())
-    alg = model.algebra
-    for mono in sorted(cls.terms, key=lambda m: (alg.form_degree(m), m)):
-        series = cls.terms[mono]
-        name = "·".join(f"{alg.gens[i].name}^{e}" if e != 1 else alg.gens[i].name for i, e in mono) or "1"
-        report.record(record="term", monomial=name, **series.to_record())
+    for mono in sorted(cls.terms, key=_term_order(model.algebra)):
+        report.record(record="term", monomial=_monomial_name(model.algebra, mono), **cls.terms[mono].to_record())
     return OK
+
+
+def _term_order(alg):
+    """Sort key of the printed terms: form degree, then monomial."""
+    return lambda mono: (alg.form_degree(mono), mono)
+
+
+def _monomial_name(alg, mono) -> str:
+    return "·".join(f"{alg.gens[i].name}^{e}" if e != 1 else alg.gens[i].name for i, e in mono) or "1"
+
+
+def _first_difference(lhs, rhs) -> dict:
+    """The first monomial, in printed-term order, where two elements differ, with
+    both coefficients in their mode's compact text form (its zero where a side has none)."""
+    alg = lhs.algebra
+    for mono in sorted(lhs.terms.keys() | rhs.terms.keys(), key=_term_order(alg)):
+        a, b = lhs.terms.get(mono), rhs.terms.get(mono)
+        if a != b:
+            return {"monomial": _monomial_name(alg, mono), "lhs": _coefficient(lhs, a), "rhs": _coefficient(rhs, b)}
+    return {}
+
+
+def _coefficient(el, c) -> str:
+    mode = dga.MODES[el.mode]
+    return mode.compact(mode.make(0) if c is None else c)
 
 
 def _cmd_genus(args, report: Report) -> int:
@@ -380,6 +405,8 @@ def _cmd_decompose(args, report: Report) -> int:
 
 
 def _cmd_pfaffian_product(args, report: Report) -> int:
+    import numpy as np
+
     if args.dim % 4 or args.dim < 4:
         raise ValueError("--dim must be a positive multiple of 4")
     if args.roots < 1 or not 1 <= args.shells <= MAX_SHELLS or args.exact_shells < 0:
@@ -400,8 +427,9 @@ def _cmd_pfaffian_product(args, report: Report) -> int:
     # exact identity at small shell bounds (pi mode, dual-route Pfaffians inside)
     tau_exact = _tau_exact(args.tau)
     for bound, prod in shell_products(model, range(1, e + 1), tau_exact, dga.PI):
-        if prod != product_exponential_form(model, bound, tau_exact, dga.PI):
-            report.record(record="identity", shell=bound, status="FAIL")
+        closed = product_exponential_form(model, bound, tau_exact, dga.PI)
+        if prod != closed:
+            report.record(record="identity", shell=bound, status="FAIL", **_first_difference(prod, closed))
             return IDENTITY_FAILURE
         report.record(record="identity", shell=bound, status="OK")
     # numeric convergence table for the beta^2 x1^2 coefficient
@@ -455,11 +483,13 @@ def _cmd_anomaly(args, report: Report) -> int:
     if da == delta:
         report.record(record="verdict", check="delta(Wit) == d(A)", status="OK")
         return OK
-    report.record(record="verdict", check="delta(Wit) == d(A)", status="FAIL")
+    report.record(record="verdict", check="delta(Wit) == d(A)", status="FAIL", **_first_difference(delta, da))
     return IDENTITY_FAILURE
 
 
 def _cmd_localize(args, report: Report) -> int:
+    from .bvloc import EquivariantSurfaceProblem, bv_localize
+
     _check_tolerance(args.tolerance)
     problem = _read_record(args.problem, EquivariantSurfaceProblem.from_record)
     _config_record(

@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, takewhile
+from itertools import accumulate, takewhile
 from typing import Callable
 
 from .qmod import QSeries
@@ -522,19 +522,6 @@ def exp_nilpotent(a: Element) -> Element:
     terms = accumulate(range(1, alg.trunc + 1), lambda t, n: t * a * Fraction(1, n),
                        initial=alg.one(a.mode))  # a^n / n!
     return alg.sum(takewhile(_nonzero, terms), a.mode)
-
-
-def log_unital(u: Element) -> Element:
-    """log of 1 + nilpotent; mutually inverse with exp_nilpotent."""
-    if u.unit_part() != coerce(u.mode, 1):
-        raise ValueError("log argument must be 1 + nilpotent")
-    n = u - u.algebra.one(u.mode)
-    if not n.is_zero() and n.min_form_degree() < 1:
-        raise ValueError("log argument must be unital with nilpotent remainder")
-    alg = u.algebra
-    powers = accumulate(range(alg.trunc), lambda p, _: p * n, initial=alg.one(u.mode))
-    nonzero = takewhile(_nonzero, islice(powers, 1, None))  # n^k for k >= 1
-    return alg.sum((p * Fraction((-1) ** (k + 1), k) for k, p in enumerate(nonzero, 1)), u.mode)
 
 
 def unit_inverse(a: Element) -> Element:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import dga
 from .dga import Algebra, Element, Generator
-from .scalars import QI, PiScalar
+from .scalars import QI, PiScalar, exact_number
 
 
 class MissingNumber(KeyError):
@@ -189,7 +189,7 @@ class ManifoldDescriptor:
         if type(dim) is not int:  # not a float, whose fraction int() would drop, nor a bool
             raise TypeError(f"dim must be a JSON integer, got {dim!r}")
         nums = {
-            tuple(int(s) for s in key.split(",")): Fraction(val)
+            tuple(int(s) for s in key.split(",")): exact_number(val, f"pontryagin_numbers[{json.dumps(key)}]")
             for key, val in rec.get("pontryagin_numbers", {}).items()
         }
         return ManifoldDescriptor(dim, nums)

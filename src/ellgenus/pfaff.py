@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import dga
 from .dga import Element, unit_inverse
 from .geom import ChernRootModel, _two_pi, root_blocks
@@ -402,9 +400,8 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
     if model.r == 0 or mode_bound == 0:
         return alg.one(mode)
     if mode == dga.COMPLEX:
-        n = np.arange(1, mode_bound + 1, dtype=np.float64)
-        c = 1.0 / (4 * math.pi**2 * n * n)
-        terms = (model.power_sum(k, mode) * ((-1) ** k * float(np.sum(c**k)) / k)
+        c = [1.0 / (4 * math.pi**2 * n * n) for n in range(1, mode_bound + 1)]
+        terms = (model.power_sum(k, mode) * ((-1) ** k * math.fsum(x**k for x in c) / k)
                  for k in range(1, model.dim // 4 + 1))
         return dga.exp_nilpotent(alg.sum(terms, mode))
     acc = alg.one(mode)

@@ -38,9 +38,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import ClassVar
 
-import numpy as np
-
-from .scalars import QI, bernoulli, power
+from .scalars import QI, bernoulli, exact_number, power
 
 
 class WeightMismatch(ValueError):
@@ -339,7 +337,7 @@ class QSeries:
                 raise TypeError(f"{key} must be a JSON integer, got {value!r}")
         if type(coeffs) is not list:  # a string would be read digit by digit
             raise TypeError(f"coeffs must be a JSON list, got {coeffs!r}")
-        return QSeries(weight, {lo + i: Fraction(c) for i, c in enumerate(coeffs)}, order)
+        return QSeries(weight, {lo + i: exact_number(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)}, order)
 
     def dumps(self) -> str:
         return json.dumps(self.to_record())
@@ -540,6 +538,8 @@ def z2plus_shell(s: int):
     The one definition of the half lattice and its order: the m = -s edge with
     n = -s..s, the n = -s then n = s sides with m = -s+1..-1, then (s, 0).
     """
+    import numpy as np
+
     n = np.concatenate([np.arange(-s, s + 1), np.full(s - 1, -s), np.full(s - 1, s), [s]])
     m = np.concatenate([np.full(2 * s + 1, -s), np.arange(-s + 1, 0), np.arange(-s + 1, 0), [0]])
     return n, m
@@ -567,6 +567,8 @@ def z2plus_power_sums(k_max: int, bound: int, tau) -> list:
                 sums[k] = sums[k] + term
                 term = term * inv2
         return sums
+    import numpy as np
+
     sums = [0j] * k_max
     for s in range(1, bound + 1):
         n, m = z2plus_shell(s)
@@ -604,6 +606,8 @@ def _row_tail(x, power: int):
 
 def _row_sums(w, power: int, lo: int, hi: int):
     """sum_{n=lo..hi} (w + n)^-power for each entry of w, in blocks of about _BLOCK points."""
+    import numpy as np
+
     sums = np.zeros(len(w), dtype=complex)
     step = max(1, _BLOCK // max(1, len(w)))
     for a in range(lo, hi + 1, step):
@@ -624,6 +628,8 @@ def lattice_partial_sum(power: int, tau: complex, ordering: LatticeOrdering, bou
         raise ValueError("bound must be >= 1")
     if power % 2:
         return 0j  # (n, m) <-> (-n, -m) antisymmetry, exactly
+    import numpy as np
+
     # the m = 0 row (n > 0, paired), then rows +-m paired, each row whole
     m_range, n_range = ordering.effective_ranges(bound, tau)
     w = np.arange(1, m_range + 1) * tau

@@ -61,6 +61,17 @@ def power(base, e: int, one):
     return out
 
 
+def exact_number(value, field: str) -> Fraction:
+    """An exact number read from JSON: a string such as "7/2", or an integer.
+
+    A float is refused, because it carries its binary round-off (0.1 would be
+    read as 3602879701896397/2^55), and so is a bool, which Fraction reads as 0 or 1.
+    """
+    if type(value) not in (str, int):
+        raise TypeError(f"{field} must be a JSON string or integer, got {value!r}")
+    return Fraction(value)
+
+
 def zeta_even_over_pi_power(k: int) -> Fraction:
     """The rational r with zeta(2k) = r * pi^(2k)."""
     if k < 1:

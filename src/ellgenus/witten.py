@@ -49,18 +49,12 @@ from .geom import (
 from .qmod import (
     EMonomials,
     QSeries,
-    eisenstein_q,
     half_lattice_normalization,
     quasi_modular_decompose,
     weight_monomial_count,
     z2plus_power_sums,
 )
 from .scalars import QI, PiScalar
-
-
-def eisenstein_symbol_series(k: int, q_order: int) -> QSeries:
-    """The q-series the symbol E{2k} stands for: -B_{2k}/(2(2k)!) * Ẽ_{2k}."""
-    return eisenstein_q(k, q_order) * half_lattice_normalization(k)
 
 
 def q_evaluate(el: Element, q_order: int) -> Element:

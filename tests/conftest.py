@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, islice, takewhile
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from ellgenus import dga
 from ellgenus.dga import Element, coerce
 from ellgenus.pfaff import _det_laplace, _pf_matchings, _swap_rowcol
-from ellgenus.qmod import z2plus_shell
+from ellgenus.qmod import eisenstein_q, half_lattice_normalization, z2plus_shell
 from ellgenus.scalars import QI, PiScalar, power
 
 
@@ -593,3 +594,36 @@ def term_by_term_substitute():
 @pytest.fixture
 def term_by_term_differential():
     return _term_by_term_differential
+
+
+# ---------------------------------------------------------------------------
+# Helpers no library code calls, kept for the tests that state their identities:
+# log inverts dga.exp_nilpotent, and E{2k} stands for a normalized Ẽ_{2k}.
+
+
+def _log_unital(u: Element) -> Element:
+    """log of 1 + nilpotent; mutually inverse with exp_nilpotent."""
+    if u.unit_part() != coerce(u.mode, 1):
+        raise ValueError("log argument must be 1 + nilpotent")
+    n = u - u.algebra.one(u.mode)
+    if not n.is_zero() and n.min_form_degree() < 1:
+        raise ValueError("log argument must be unital with nilpotent remainder")
+    alg = u.algebra
+    powers = accumulate(range(alg.trunc), lambda p, _: p * n, initial=alg.one(u.mode))
+    nonzero = takewhile(lambda p: not p.is_zero(), islice(powers, 1, None))  # n^k for k >= 1
+    return alg.sum((p * Fraction((-1) ** (k + 1), k) for k, p in enumerate(nonzero, 1)), u.mode)
+
+
+def _eisenstein_symbol_series(k: int, q_order: int):
+    """The q-series the symbol E{2k} stands for: -B_{2k}/(2(2k)!) * Ẽ_{2k}."""
+    return eisenstein_q(k, q_order) * half_lattice_normalization(k)
+
+
+@pytest.fixture
+def log_unital():
+    return _log_unital
+
+
+@pytest.fixture
+def eisenstein_symbol_series():
+    return _eisenstein_symbol_series

@@ -1,13 +1,17 @@
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ellgenus import cli, dga, pfaff, qmod
 from ellgenus.bvloc import MAX_GRID
 from ellgenus.cli import IDENTITY_FAILURE, INPUT_ERROR, MAX_K, MAX_Q_ORDER, OK, main
-from ellgenus.geom import ChernRootModel
+from ellgenus.geom import ChernRootModel, ManifoldDescriptor
 from ellgenus.pfaff import regularized_product
 from ellgenus.qmod import QSeries, eisenstein_q
 from ellgenus.witten import _partitions, witten_class_symbolic
@@ -250,6 +254,50 @@ def test_anomaly_verdict(capsys):
     status, out = run_cli(capsys, "anomaly", "--roots", "1", "--dim", "8", "--q-order", "4")
     assert status == OK
     assert "delta(Wit) == d(A)" in out and "status=OK" in out
+
+
+# A failed exact identity names the first monomial, in witten-class order, where
+# its two sides differ, with both coefficients in the mode's compact text form.
+def test_a_failed_anomaly_names_the_first_differing_monomial(capsys, monkeypatch):
+    primitive = cli.anomaly_primitive
+
+    def perturbed(model, q_order):  # + H b^2 u, whose d is x1^2 b^2 u at one root
+        alg = model.algebra
+        return primitive(model, q_order) + alg.gen("H", dga.QSERIES) * alg.gen("b", dga.QSERIES) ** 2 * alg.gen("u", dga.QSERIES)
+
+    monkeypatch.setattr(cli, "anomaly_primitive", perturbed)
+    status, out = run_cli(capsys, "--format", "records", "anomaly", "--roots", "1", "--dim", "8", "--q-order", "3")
+    assert status == IDENTITY_FAILURE
+    assert json.loads(out.splitlines()[-1]) == {
+        "record": "verdict", "check": "delta(Wit) == d(A)", "status": "FAIL",
+        "monomial": "b^2·u·x1^2", "lhs": "q{w=0;N=inf;0:1/2}", "rhs": "q{w=0;N=inf;0:3/2}",
+    }
+
+
+def test_a_failed_product_identity_names_the_first_differing_monomial(capsys, monkeypatch):
+    closed_form = cli.product_exponential_form
+
+    def perturbed(model, bound, tau, mode):  # + b^2 x1^2 at shell 2 only
+        out = closed_form(model, bound, tau, mode)
+        alg = model.algebra
+        return out + alg.gen("x1", mode) ** 2 * alg.gen("b", mode) ** 2 if bound == 2 else out
+
+    monkeypatch.setattr(cli, "product_exponential_form", perturbed)
+    status, out = run_cli(capsys, "--format", "records", "pfaffian-product", "--shells", "4")
+    assert status == IDENTITY_FAILURE
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[1] == {"record": "identity", "shell": 1, "status": "OK"}
+    assert records[2] == {"record": "identity", "shell": 2, "status": "FAIL", "monomial": "b^2·x1^2",
+                          "lhs": "pi{0:-12339/23120}", "rhs": "pi{0:10781/23120}"}
+    assert len(records) == 3
+
+
+def test_first_difference_reads_a_missing_term_as_zero():
+    alg = ChernRootModel(1, 4).algebra
+    x2 = alg.gen("x1") ** 2
+    assert cli._first_difference(alg.one(), alg.one() + x2) == {"monomial": "x1^2", "lhs": "0", "rhs": "1"}
+    assert cli._first_difference(x2 + alg.one() * 2, alg.zero()) == {"monomial": "1", "lhs": "2", "rhs": "0"}
+    assert cli._first_difference(x2, x2) == {}
 
 
 def test_localize_report(capsys, tmp_path):
@@ -560,6 +608,15 @@ ZERO_DENOMINATOR_FILES = [
     ("decompose", {"weight": 4, "min_exp": 0, "coeffs": ["1", "1/0"], "order": 2}),
     ("localize", {"alpha0": "z", "g": "-1", "s": "1/0", "grid": 8}),
 ]
+# An exact number must be a JSON string or integer: a float would be read as its
+# binary double (0.1 as 3602879701896397/2^55), and true as 1.
+INEXACT_NUMBER_FILES = [
+    ("genus", {"1,1": 0.1, "2": "1"}, 'pontryagin_numbers["1,1"]', "0.1"),
+    ("genus", {"1,1": "1", "2": True}, 'pontryagin_numbers["2"]', "True"),
+    ("decompose", {"weight": 4, "min_exp": 0, "coeffs": [1, 240.5, 2160, 6720, 17520], "order": 5},
+     "coeffs[1]", "240.5"),
+    ("decompose", {"weight": 4, "min_exp": 0, "coeffs": [True, 240], "order": 2}, "coeffs[0]", "True"),
+]
 
 
 @pytest.mark.parametrize("kind,record", [
@@ -567,6 +624,7 @@ ZERO_DENOMINATOR_FILES = [
     *(("decompose", series) for series in ODD_SERIES),
     *(("localize", {"alpha0": "z", "g": "-1", "s": "1", "grid": grid}) for grid in (1, MAX_GRID)),
     *ZERO_DENOMINATOR_FILES,
+    *((kind, record) for kind, record, _, _ in INEXACT_NUMBER_FILES),
 ])
 def test_odd_files_end_in_a_documented_exit_code(capsys, tmp_path, kind, record):
     assert main(file_argv(tmp_path, kind, record)) in (OK, INPUT_ERROR, IDENTITY_FAILURE)
@@ -593,6 +651,22 @@ def test_a_zero_denominator_is_an_input_error_naming_the_file(capsys, tmp_path, 
     assert err == f"error: {tmp_path / 'in.json'}: zero denominator: Fraction(1, 0)\n"
 
 
+@pytest.mark.parametrize("kind,record,field,value", INEXACT_NUMBER_FILES)
+def test_an_inexact_number_is_an_input_error_naming_its_field(capsys, tmp_path, kind, record, field, value):
+    err = assert_input_error(capsys, *file_argv(tmp_path, kind, record))
+    path = tmp_path / "in.json"
+    assert err == f"error: {path}: malformed record: {field} must be a JSON string or integer, got {value}\n"
+
+
+def test_exact_numbers_read_from_strings_and_integers_alike():
+    descriptor = ManifoldDescriptor.from_record({"dim": 8, "pontryagin_numbers": {"1,1": 3, "2": "-7/2"}})
+    assert descriptor.number((1, 1)) == 3 and descriptor.number((2,)) == Fraction(-7, 2)
+    strings = ManifoldDescriptor.from_record({"dim": 8, "pontryagin_numbers": {"1,1": "3", "2": "-7/2"}})
+    assert descriptor.to_record() == strings.to_record()
+    series = QSeries.from_record({"weight": 4, "min_exp": 0, "coeffs": [1, "240", "1/3"], "order": 3})
+    assert series == QSeries(4, {0: 1, 1: 240, 2: Fraction(1, 3)}, 3)
+
+
 # Integer fields were read through int(), which truncated a float (dim 4.9 as 4)
 # and took a bool as 0 or 1, and a string of coefficients was read digit by digit
 # ("12" as 1 + 2q); a bool s was read as 1.  Each differs from a valid file only
@@ -615,3 +689,47 @@ def test_a_misread_field_is_an_input_error_naming_it(capsys, tmp_path, kind, rec
     path.write_text(json.dumps(record))
     assert message in assert_input_error(capsys, kind, FILE_FLAGS[kind], str(path))
 
+
+# The exact subcommands never load numpy: it is imported only by the float
+# handlers, and bvloc only by localize.  One fresh interpreter (-I: no
+# PYTHONPATH, no user site) runs the exact ones first, then the float ones.
+NUMPY_FREE_RUNS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import ellgenus
+from ellgenus import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+tmp = sys.argv[2]
+exact = [run("genus", "--descriptor", tmp + "/d.json"), run("witten-class", "--roots", "2", "--dim", "8"),
+         run("decompose", "--series", tmp + "/s.json"), run("anomaly", "--roots", "2", "--dim", "8")]
+loaded = [name for name in ("numpy", "ellgenus.bvloc") if name in sys.modules]
+floats = [run("localize", "--problem", tmp + "/p.json"), run("eisenstein", "--k", "2", "--bound", "50"),
+          run("pfaffian-product", "--shells", "4")]
+print(json.dumps({"exact": exact, "loaded": loaded, "floats": floats}))
+"""
+
+
+def test_exact_subcommands_do_not_import_numpy(tmp_path):
+    write_descriptor(tmp_path, "d.json", 8, {"1,1": "3", "2": "-7/2"})
+    e4 = {"weight": 4, "min_exp": 0, "coeffs": ["1", "240", "2160", "6720", "17520"], "order": 5}
+    (tmp_path / "s.json").write_text(json.dumps(e4))
+    (tmp_path / "p.json").write_text(json.dumps({"alpha0": "z", "g": "-1", "s": "1", "grid": 8}))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-I", "-c", NUMPY_FREE_RUNS, str(src), str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"exact": [OK] * 4, "loaded": [], "floats": [OK] * 3}
+
+
+def test_the_localization_names_resolve_from_the_package():
+    import ellgenus
+    from ellgenus import bv_localize, bvloc
+
+    assert bv_localize is bvloc.bv_localize
+    for name in ("EquivariantSurfaceProblem", "FixedPointDegenerate", "bv_localize", "q_closedness_residual"):
+        assert getattr(ellgenus, name) is getattr(bvloc, name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ellgenus.no_such_name

@@ -14,7 +14,6 @@ from ellgenus.dga import (
     divide_exact,
     exp_nilpotent,
     impose_relation,
-    log_unital,
     parse_element,
     substitute,
     unit_inverse,
@@ -166,7 +165,7 @@ def test_leibniz_random_homogeneous():
         assert lhs == rhs, (na, nb)
 
 
-def test_exp_examples_and_round_trip():
+def test_exp_examples_and_round_trip(log_unital):
     alg = p_algebra(trunc=8)
     p1, u = alg.gen("p1"), alg.gen("u")
     assert exp_nilpotent(alg.zero()) == alg.one()
@@ -180,7 +179,7 @@ def test_exp_examples_and_round_trip():
         assert exp_nilpotent(log_unital(alg2.one() + a)) == alg2.one() + a
 
 
-def test_exp_rejects_bad_input():
+def test_exp_rejects_bad_input(log_unital):
     alg = make_algebra()
     with pytest.raises(ValueError):
         exp_nilpotent(alg.one())  # nonzero degree-0 part

@@ -28,7 +28,6 @@ from ellgenus.witten import (
     anomaly_delta,
     anomaly_delta_symbolic,
     anomaly_primitive,
-    eisenstein_symbol_series,
     gamma_transform,
     product_descriptor,
     q_evaluate,
@@ -42,7 +41,7 @@ from ellgenus.witten import (
 )
 
 
-def test_symbol_series_normalization():
+def test_symbol_series_normalization(eisenstein_symbol_series):
     # E{2k} stands for -B_{2k}/(2 (2k)!) * Ẽ_{2k}; constant terms -1/24, 1/1440
     assert half_lattice_normalization(1) == Fraction(-1, 24)
     assert half_lattice_normalization(2) == Fraction(1, 1440)
@@ -56,7 +55,7 @@ def test_class_dim0_is_one():
     assert witten_class(m, 5) == m.algebra.one(dga.QSERIES)
 
 
-def test_class_dim4_shape():
+def test_class_dim4_shape(eisenstein_symbol_series):
     m = ChernRootModel(1, 4)
     alg = m.algebra
     sym = witten_class_symbolic(m)
@@ -297,7 +296,7 @@ def test_genus_sum_over_partitions_matches_the_expansion(dim, string):
         assert witten_genus_symbolic(d) == genus_by_expansion(d)
 
 
-def q_evaluate_term_by_term(el, q_order):
+def q_evaluate_term_by_term(el, q_order, eisenstein_symbol_series):
     """Each term's coefficient times its own product of E{2k} series, summed."""
     alg = el.algebra
     out = alg.zero(dga.QSERIES)
@@ -315,10 +314,10 @@ def q_evaluate_term_by_term(el, q_order):
 
 
 @pytest.mark.parametrize("r,dim", [(2, 8), (3, 12)])
-def test_q_evaluate_matches_term_by_term(r, dim):
+def test_q_evaluate_matches_term_by_term(r, dim, eisenstein_symbol_series):
     m = ChernRootModel(r, dim)
     for el in (witten_class_symbolic(m), anomaly_delta_symbolic(m)):
-        assert q_evaluate(el, 6) == q_evaluate_term_by_term(el, 6)
+        assert q_evaluate(el, 6) == q_evaluate_term_by_term(el, 6, eisenstein_symbol_series)
 
 
 def test_genus_multiplicativity_dim24():
