@@ -204,7 +204,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except PfaffianRouteMismatch as exc:
-        print(f"identity violated: {exc}", file=sys.stderr)
+        detail = "".join(f"  {k}={v}" for k, v in _first_difference(exc.lhs, exc.rhs).items())
+        print(f"identity violated: {exc}{detail}", file=sys.stderr)
         return IDENTITY_FAILURE
     report.emit()
     return status

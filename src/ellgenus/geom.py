@@ -16,9 +16,9 @@ The symmetric-function side of the genus lives here too, with ``dga`` as its
 only polynomial ring.  ``power_sums_to_pontryagin`` writes the power sums of
 the x_j^2 in the Pontryagin algebra's generators p_i (the elementary symmetric
 functions of the x_j^2) by Newton's identities, and ``integrate_symbolic`` is
-the one loop that pairs a class's top-degree monomials p_lambda b^{dim/2}
-E-monomial with the Pontryagin numbers of a ManifoldDescriptor.  ``symbol_k``
-reads back the k of the E{2k} names that ``eisenstein_symbols`` makes.
+the one loop that pairs an element's top-degree monomials p_lambda with the
+Pontryagin numbers of a ManifoldDescriptor.  ``symbol_k`` reads back the k of
+the E{2k} names that ``eisenstein_symbols`` makes.
 """
 
 from __future__ import annotations
@@ -124,11 +124,8 @@ def pontryagin_character_component(model: ChernRootModel, k: int, mode=dga.RATIO
 
 
 def pontryagin_algebra(dim: int) -> Algebra:
-    """Algebra on Pontryagin generators p1..p_{dim/4} plus b and the E-symbols."""
-    gens = [Generator(f"p{i}", 4 * i) for i in range(1, dim // 4 + 1)]
-    gens.append(Generator("b", 0, invertible=True))
-    gens.extend(eisenstein_symbols(dim))
-    return Algebra(gens, trunc=dim)
+    """Algebra on the Pontryagin generators p1..p_{dim/4}, truncated at degree dim."""
+    return Algebra([Generator(f"p{i}", 4 * i) for i in range(1, dim // 4 + 1)], trunc=dim)
 
 
 def power_sums_to_pontryagin(alg: Algebra) -> list[Element]:
@@ -211,40 +208,21 @@ def _canonical_partition(part) -> tuple:
     return tuple(sorted((int(i) for i in part), reverse=True))
 
 
-def integrate_symbolic(descriptor: ManifoldDescriptor, cls: Element) -> dict:
-    """Pair the form-degree-dim part of a rational-mode class in Pontryagin
-    generators with the descriptor's numbers, keeping the Eisenstein symbols.
-
-    Returns {E-monomial exponents tuple: Fraction} where the key lists the
-    exponent of E{2k} for k = 1..dim/4; asserts the genus weight dim/2 on
-    every contributing monomial.
+def integrate_symbolic(descriptor: ManifoldDescriptor, el: Element) -> Fraction:
+    """Pair the form-degree-dim part of a rational-mode element in the Pontryagin
+    generators with the descriptor's numbers: the sum over its top-degree
+    monomials p_lambda of coefficient * <p_lambda, [M]>.  Lower degrees pair to 0.
     """
-    alg = cls.algebra
-    dim = descriptor.dim
-    out = {}
-    for mono, coeff in cls.terms.items():
-        if alg.form_degree(mono) != dim:
+    alg = el.algebra
+    total = Fraction(0)
+    for mono, coeff in el.terms.items():
+        if alg.form_degree(mono) != descriptor.dim:
             continue
-        partition, beta_exp, eweight, ekey = [], 0, 0, [0] * (dim // 4)
+        partition = []
         for i, e in mono:
-            g = alg.gens[i]
-            if k := symbol_k(g.name):
-                eweight += g.weight * e
-                ekey[k - 1] = e
-            elif g.name == "b":
-                beta_exp = e
-            elif g.name.startswith("p"):
-                partition.extend([int(g.name[1:])] * e)
-            else:
-                raise ValueError(f"cannot integrate monomial containing {g.name}")
-        if beta_exp != dim // 2 or eweight != dim // 2:
-            raise AssertionError(
-                f"weight bookkeeping broke: b^{beta_exp}, E-weight {eweight}, dim {dim}"
-            )
-        ekey = tuple(ekey)
-        s = out.get(ekey, Fraction(0)) + coeff * descriptor.number(partition)
-        if s:
-            out[ekey] = s
-        else:
-            out.pop(ekey, None)
-    return out
+            name = alg.gens[i].name
+            if not name.startswith("p"):
+                raise ValueError(f"cannot integrate monomial containing {name}")
+            partition.extend([int(name[1:])] * e)
+        total += coeff * descriptor.number(partition)
+    return total

@@ -31,7 +31,12 @@ from .scalars import QI, PiScalar
 
 
 class PfaffianRouteMismatch(ArithmeticError):
-    """The Pfaffian-ratio and determinant routes disagreed (identity violated)."""
+    """The Pfaffian-ratio and determinant routes disagreed (identity violated);
+    lhs and rhs are the two routes' elements."""
+
+    def __init__(self, message, lhs: Element, rhs: Element):
+        super().__init__(message)
+        self.lhs, self.rhs = lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -291,9 +296,9 @@ def block_norm_pfaffian(idx, model: ChernRootModel, tau, mode=dga.PI, verify_rou
         ratio = pf * _zero_block_pfaffian(idx, model.r, tau, mode) ** -1
         if mode == dga.COMPLEX:
             if not _close_elements(ratio, det):
-                raise PfaffianRouteMismatch(f"block {idx}: ratio != det (numeric)")
+                raise PfaffianRouteMismatch(f"block {idx}: ratio != det (numeric)", ratio, det)
         elif ratio != det:
-            raise PfaffianRouteMismatch(f"block {idx}: ratio != det")
+            raise PfaffianRouteMismatch(f"block {idx}: ratio != det", ratio, det)
     return det
 
 
@@ -409,7 +414,7 @@ def a_hat_product(model: ChernRootModel, mode_bound: int, mode=dga.COMPLEX) -> E
         dplus = determinant(a_hat_mode_matrix(model, n, mode, +1))
         dminus = determinant(a_hat_mode_matrix(model, n, mode, -1))
         if dplus != dminus:
-            raise PfaffianRouteMismatch(f"mode {n}: det+ != det-")
+            raise PfaffianRouteMismatch(f"mode {n}: det+ != det-", dplus, dminus)
         acc = acc * dplus
     return unit_inverse(acc)
 

@@ -18,8 +18,9 @@ is the finite sum over partitions lambda of dim/4,
     sum_lambda s_lambda b^{dim/2} prod_k E{2k}^{m_k} / (k^{m_k} m_k!),
 
 m_k the multiplicity of k in lambda and s_lambda = prod_k s_k^{m_k} (Milnor-
-Stasheff section 16; Hirzebruch-Berger-Jung ch. 1); pairing s_lambda with the
-Pontryagin numbers gives the symbolic genus without expanding the exponential.
+Stasheff section 16; Hirzebruch-Berger-Jung ch. 1).  So the coefficient of each
+E-monomial is one characteristic number: pairing s_lambda with the Pontryagin
+numbers on its own gives the symbolic genus without expanding the exponential.
 
 Under gamma in SL2(Z) the transformation laws are beta -> beta/j,
 E2 -> j^2 (E2 - u/2), E{2k >= 4} -> j^{2k} E{2k}, where u stands for
@@ -161,10 +162,13 @@ def reciprocal_product_as_class(product: Element) -> Element:
 
 
 def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
-    """Genus as {E-monomial exponents: Fraction}; weight dim/2 per monomial.
+    """Genus as {E-monomial exponents: Fraction}, zero entries dropped; weight dim/2
+    per monomial.
 
-    The sum over partitions of dim/4 from the module docstring: each s_lambda
-    is its largest part's s_k times its tail's product, built once.
+    The sum over partitions of dim/4 from the module docstring: the coefficient
+    of E^lambda is <s_lambda, [M]> / prod_k k^{m_k} m_k!, each s_lambda paired
+    with the numbers on its own.  s_lambda is its largest part's s_k times its
+    tail's product, built once.
     """
     dim = descriptor.dim
     if dim == 0:
@@ -180,14 +184,13 @@ def witten_genus_symbolic(descriptor: ManifoldDescriptor) -> dict:
             s_products[part] = s_products[part[:1]] * s_product(part[1:])
         return s_products[part]
 
-    def term(part):
+    out = {}
+    for part in _partitions(dim // 4):
         mult = Counter(part)
-        e_part = tuple((alg.index[f"E{2 * k}"], m) for k, m in mult.items())
         denominator = math.prod(k**m * math.factorial(m) for k, m in mult.items())
-        return s_product(part) * alg.element({e_part: Fraction(1, denominator)})
-
-    top = alg.sum(map(term, _partitions(dim // 4)))
-    return integrate_symbolic(descriptor, top * alg.gen("b", power=dim // 2))
+        if value := integrate_symbolic(descriptor, s_product(part)) / denominator:
+            out[tuple(mult[k] for k in range(1, dim // 4 + 1))] = value
+    return out
 
 
 def witten_genus(descriptor: ManifoldDescriptor, q_order: int,

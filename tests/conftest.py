@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, islice, takewhile
@@ -6,10 +8,12 @@ import numpy as np
 import pytest
 
 from ellgenus import dga
-from ellgenus.dga import Element, coerce
+from ellgenus.dga import Algebra, Element, Generator, coerce
+from ellgenus.geom import eisenstein_symbols, power_sums_to_pontryagin, symbol_k
 from ellgenus.pfaff import _det_laplace, _pf_matchings, _swap_rowcol
 from ellgenus.qmod import eisenstein_q, half_lattice_normalization, z2plus_shell
 from ellgenus.scalars import QI, PiScalar, power
+from ellgenus.witten import _partitions, _require_every_number
 
 
 def _square_shell_sum(power, tau, bound):
@@ -627,3 +631,102 @@ def log_unital():
 @pytest.fixture
 def eisenstein_symbol_series():
     return _eisenstein_symbol_series
+
+
+# ---------------------------------------------------------------------------
+# The genus through E-monomial elements, kept as the oracle beside the
+# library's per-partition pairing: every s_lambda times its E-monomial in an
+# algebra on p_i, b and the E-symbols, one sum, one product by b^{dim/2}, and a
+# pairing that reads the E-monomial and the b exponent back out of each term.
+
+
+def _e_symbol_algebra(dim):
+    """Algebra on Pontryagin generators p1..p_{dim/4} plus b and the E-symbols."""
+    gens = [Generator(f"p{i}", 4 * i) for i in range(1, dim // 4 + 1)]
+    gens.append(Generator("b", 0, invertible=True))
+    gens.extend(eisenstein_symbols(dim))
+    return Algebra(gens, trunc=dim)
+
+
+def _integrate_e_keyed(descriptor, cls):
+    """Pair the form-degree-dim part of a rational-mode class in Pontryagin
+    generators with the descriptor's numbers, keeping the Eisenstein symbols.
+
+    Returns {E-monomial exponents tuple: Fraction} where the key lists the
+    exponent of E{2k} for k = 1..dim/4; asserts the genus weight dim/2 on
+    every contributing monomial.
+    """
+    alg = cls.algebra
+    dim = descriptor.dim
+    out = {}
+    for mono, coeff in cls.terms.items():
+        if alg.form_degree(mono) != dim:
+            continue
+        partition, beta_exp, eweight, ekey = [], 0, 0, [0] * (dim // 4)
+        for i, e in mono:
+            g = alg.gens[i]
+            if k := symbol_k(g.name):
+                eweight += g.weight * e
+                ekey[k - 1] = e
+            elif g.name == "b":
+                beta_exp = e
+            elif g.name.startswith("p"):
+                partition.extend([int(g.name[1:])] * e)
+            else:
+                raise ValueError(f"cannot integrate monomial containing {g.name}")
+        if beta_exp != dim // 2 or eweight != dim // 2:
+            raise AssertionError(
+                f"weight bookkeeping broke: b^{beta_exp}, E-weight {eweight}, dim {dim}"
+            )
+        ekey = tuple(ekey)
+        s = out.get(ekey, Fraction(0)) + coeff * descriptor.number(partition)
+        if s:
+            out[ekey] = s
+        else:
+            out.pop(ekey, None)
+    return out
+
+
+def _genus_by_e_monomials(descriptor):
+    """Genus as {E-monomial exponents: Fraction}; weight dim/2 per monomial.
+
+    The sum over partitions of dim/4: each s_lambda is its largest part's s_k
+    times its tail's product, built once.
+    """
+    dim = descriptor.dim
+    if dim == 0:
+        return {(): Fraction(1)}
+    _require_every_number(descriptor)
+    alg = _e_symbol_algebra(dim)
+    s_products = {(): alg.one()}
+    for k, s_k in enumerate(power_sums_to_pontryagin(alg), 1):
+        s_products[(k,)] = s_k
+
+    def s_product(part):
+        if part not in s_products:
+            s_products[part] = s_products[part[:1]] * s_product(part[1:])
+        return s_products[part]
+
+    def term(part):
+        mult = Counter(part)
+        e_part = tuple((alg.index[f"E{2 * k}"], m) for k, m in mult.items())
+        denominator = math.prod(k**m * math.factorial(m) for k, m in mult.items())
+        return s_product(part) * alg.element({e_part: Fraction(1, denominator)})
+
+    top = alg.sum(map(term, _partitions(dim // 4)))
+    return _integrate_e_keyed(descriptor, top * alg.gen("b", power=dim // 2))
+
+
+@pytest.fixture
+def e_symbol_algebra():
+    return _e_symbol_algebra
+
+
+@pytest.fixture
+def integrate_e_keyed():
+    return _integrate_e_keyed
+
+
+@pytest.fixture
+def genus_by_e_monomials():
+    return _genus_by_e_monomials

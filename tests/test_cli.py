@@ -292,6 +292,17 @@ def test_a_failed_product_identity_names_the_first_differing_monomial(capsys, mo
     assert len(records) == 3
 
 
+def test_a_pfaffian_route_mismatch_names_the_first_differing_monomial(capsys, monkeypatch):
+    zero_block = pfaff._zero_block_pfaffian
+    monkeypatch.setattr(pfaff, "_zero_block_pfaffian", lambda *args: zero_block(*args) * 2)
+    status = main(["pfaffian-product", "--exact-shells", "1"])
+    captured = capsys.readouterr()
+    assert status == IDENTITY_FAILURE and captured.out == ""
+    assert captured.err == (
+        "identity violated: block (-1, -1): ratio != det  monomial=1  lhs=pi{0:1/2}  rhs=pi{0:1}\n"
+    )
+
+
 def test_first_difference_reads_a_missing_term_as_zero():
     alg = ChernRootModel(1, 4).algebra
     x2 = alg.gen("x1") ** 2

@@ -90,9 +90,11 @@ def test_newton_table_frozen():
     assert power_sums_to_pontryagin(pontryagin_algebra(0)) == []
 
 
-def test_pontryagin_algebra_holds_only_p_b_and_the_symbols():
+def test_pontryagin_algebra_holds_only_p():
     alg = pontryagin_algebra(12)
-    assert sorted(g.name for g in alg.gens) == ["E2", "E4", "E6", "b", "p1", "p2", "p3"]
+    assert [g.name for g in alg.gens] == ["p1", "p2", "p3"]
+    assert [g.degree for g in alg.gens] == [4, 8, 12] and alg.trunc == 12
+    assert len(pontryagin_algebra(0).gens) == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -138,38 +140,39 @@ def test_descriptor_validation():
 
 def test_integrate_examples():
     alg = pontryagin_algebra(8)
-    b4, e4 = alg.gen("b", power=4), alg.gen("E4")
-    s2 = power_sums_to_pontryagin(alg)[1]
+    s2 = power_sums_to_pontryagin(alg)[1]  # p1^2 - 2 p2
     d = ManifoldDescriptor(8, {(1, 1): 4, (2,): 7})
-    assert integrate_symbolic(d, s2 * b4 * e4) == {(0, 1): -10}
-    alg4 = pontryagin_algebra(4)
-    top4 = alg4.gen("p1") * alg4.gen("b", power=2) * alg4.gen("E2")
-    assert integrate_symbolic(ManifoldDescriptor(4, {(1,): 0}), top4) == {}
-    assert integrate_symbolic(ManifoldDescriptor(4, {(1,): 48}), top4) == {(1,): 48}
+    assert integrate_symbolic(d, s2) == -10
+    p1 = pontryagin_algebra(4).gen("p1")
+    assert integrate_symbolic(ManifoldDescriptor(4, {(1,): 0}), p1) == 0
+    assert integrate_symbolic(ManifoldDescriptor(4, {(1,): 48}), p1) == 48
+    assert type(integrate_symbolic(ManifoldDescriptor(4, {(1,): 48}), p1)) is Fraction
     with pytest.raises(MissingNumber):
-        integrate_symbolic(ManifoldDescriptor(8, {(2,): 7}), s2 * b4 * e4)
+        integrate_symbolic(ManifoldDescriptor(8, {(2,): 7}), s2)
 
 
 def test_integrate_ignores_lower_degrees_and_is_linear():
     alg = pontryagin_algebra(8)
     d = ManifoldDescriptor(8, {(1, 1): 3, (2,): 5})
-    b4, e2, e4 = alg.gen("b", power=4), alg.gen("E2"), alg.gen("E4")
     p2, p11 = alg.gen("p2"), alg.gen("p1") ** 2
-    low = alg.gen("p1")  # degree 4 != 8: integrates to zero
-    assert integrate_symbolic(d, (p2 + p11) * b4 * e4 + low) == {(0, 1): 8}
-    assert integrate_symbolic(d, p2 * b4 * e4 * Fraction(2, 3)) == {(0, 1): Fraction(10, 3)}
-    # each E-monomial keeps its own key
-    assert integrate_symbolic(d, (p2 * e2**2 + p11 * e4) * b4) == {(2, 0): 5, (0, 1): 3}
+    low = alg.gen("p1") + alg.one()  # degrees 4 and 0 != 8: pair to zero
+    assert integrate_symbolic(d, low) == 0
+    assert integrate_symbolic(d, p2 + p11 + low) == 8
+    assert integrate_symbolic(d, p2 * Fraction(2, 3)) == Fraction(10, 3)
+    a, b = Fraction(-7, 2), Fraction(5, 3)
+    assert integrate_symbolic(d, p2 * a + p11 * b) == a * 5 + b * 3
 
 
-def test_integrate_checks_the_weight_and_the_generators():
-    alg = pontryagin_algebra(8)
-    with pytest.raises(AssertionError, match="weight bookkeeping"):
-        integrate_symbolic(ManifoldDescriptor(8, {(2,): 1}), alg.gen("p2") * alg.gen("b", power=4))
+def test_integrate_checks_the_generators_and_pairs_every_s_lambda_whole():
+    # the weight holds by construction: for each partition lambda of dim/4,
+    # every monomial of s_lambda has form degree dim, so none is skipped
+    alg = pontryagin_algebra(12)
+    s = power_sums_to_pontryagin(alg)
+    for s_lambda in (s[2], s[1] * s[0], s[0] ** 3):
+        assert {alg.form_degree(mono) for mono in s_lambda.terms} == {12}
     m = ChernRootModel(1, 8)
-    top = m.roots()[0] ** 4 * m.beta() ** 4 * m.algebra.gen("E4")
     with pytest.raises(ValueError, match="containing x1"):
-        integrate_symbolic(ManifoldDescriptor(8, {(2,): 1}), top)
+        integrate_symbolic(ManifoldDescriptor(8, {(2,): 1}), m.roots()[0] ** 4)
 
 
 def test_descriptor_file_round_trip():

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,8 +10,6 @@ from ellgenus.dga import differential, impose_relation, substitute
 from ellgenus.geom import (
     ChernRootModel,
     ManifoldDescriptor,
-    integrate_symbolic,
-    pontryagin_algebra,
     power_sums_to_pontryagin,
 )
 from ellgenus.pfaff import a_hat_class, a_hat_product, regularized_product
@@ -277,23 +276,32 @@ def random_descriptor(rng, dim, string=False):
     return ManifoldDescriptor(dim, numbers)
 
 
-def genus_by_expansion(descriptor):
+def genus_by_expansion(descriptor, e_symbol_algebra, integrate_e_keyed):
     """The graded-algebra route: exp(sum_k s_k b^{2k} E{2k} / k), then integrate."""
-    alg = pontryagin_algebra(descriptor.dim)
+    alg = e_symbol_algebra(descriptor.dim)
     arg = alg.sum(
         s_k * Fraction(1, k) * alg.gen("b", power=2 * k) * alg.gen(f"E{2 * k}")
         for k, s_k in enumerate(power_sums_to_pontryagin(alg), 1)
     )
-    return integrate_symbolic(descriptor, dga.exp_nilpotent(arg))
+    return integrate_e_keyed(descriptor, dga.exp_nilpotent(arg))
 
 
 @pytest.mark.parametrize("string", [False, True])
 @pytest.mark.parametrize("dim", [4, 8, 12, 16, 20, 24])
-def test_genus_sum_over_partitions_matches_the_expansion(dim, string):
+def test_genus_sum_over_partitions_matches_the_expansion(dim, string, e_symbol_algebra,
+                                                         integrate_e_keyed):
     rng = random.Random(f"genus-oracle:{dim}:{string}")
     for _ in range(2):
         d = random_descriptor(rng, dim, string)
-        assert witten_genus_symbolic(d) == genus_by_expansion(d)
+        assert witten_genus_symbolic(d) == genus_by_expansion(d, e_symbol_algebra, integrate_e_keyed)
+
+
+@pytest.mark.parametrize("string", [False, True])
+def test_per_partition_pairing_matches_the_e_monomial_elements(string, genus_by_e_monomials):
+    rng = random.Random(f"genus-pairing:{string}")
+    for dim in range(4, 48, 4):
+        d = random_descriptor(rng, dim, string)
+        assert witten_genus_symbolic(d) == genus_by_e_monomials(d), d
 
 
 def q_evaluate_term_by_term(el, q_order, eisenstein_symbol_series):
@@ -327,6 +335,46 @@ def test_genus_multiplicativity_dim24():
     assert dp.dim == 24
     g1, g2, gp = witten_genus(d1, 8), witten_genus(d2, 8), witten_genus(dp, 8)
     assert gp == (g1 * g2).truncate(8)
+
+
+# ---------------------------------------------------------------------------
+# Seeded genus identities: small descriptors drawn from a fixed seed, each case
+# named in its failure message
+
+
+def test_seeded_genus_is_multiplicative():
+    rng = random.Random("sweep:multiplicative")
+    for case in range(6):
+        d1 = random_descriptor(rng, rng.choice((4, 8, 12)), rng.random() < 0.3)
+        d2 = random_descriptor(rng, rng.choice((4, 8, 12)), rng.random() < 0.3)
+        g1, g2 = witten_genus(d1, 6), witten_genus(d2, 6)
+        gp = witten_genus(product_descriptor(d1, d2), 6)
+        assert gp == (g1 * g2).truncate(6), f"case {case}: Wit({d1} x {d2}) != product"
+
+
+def test_seeded_genus_q0_is_the_a_hat_genus():
+    # numbers e_lambda(y) of r = dim/4 drawn squared roots y_j: every number is then
+    # a class's top degree at x_j^2 = y_j, read here with no Newton identities
+    rng = random.Random("sweep:a-hat")
+    for case in range(4):
+        dim = rng.choice((4, 8, 12, 16))
+        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim // 4)]
+        e = [sum(map(math.prod, combinations(ys, i))) for i in range(len(ys) + 1)]
+        d = ManifoldDescriptor(dim, {part: math.prod(e[i] for i in part) for part in _partitions(dim // 4)})
+        model = ChernRootModel(len(ys), dim)
+        gens = model.algebra.gens
+        a_hat = sum(c * math.prod(ys[int(gens[i].name[1:]) - 1] ** (n // 2) for i, n in mono)
+                    for mono, c in a_hat_class(model).terms.items()
+                    if model.algebra.form_degree(mono) == dim)
+        assert witten_genus(d, 1)[0] == a_hat, f"case {case}: {d} at y = {ys}"
+
+
+def test_seeded_string_genus_is_modular():
+    rng = random.Random("sweep:string")
+    for case in range(4):
+        d = random_descriptor(rng, rng.choice((8, 12, 16, 20)), string=True)
+        verdict = string_modularity_check(d, 6)["verdict"]
+        assert verdict == "modular", f"case {case}: {d} gives {verdict}"
 
 
 @pytest.mark.parametrize("string,verdict", [(True, "modular"), (False, "quasi-modular")])
