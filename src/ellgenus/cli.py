@@ -279,6 +279,12 @@ def _cmd_eisenstein(args, report: Report) -> int:
     tau = _parse_tau(args.tau)
     tol = args.tolerance if args.tolerance is not None else 1e-6
     _check_tolerance(tol)
+    ranges = {}
+    for where, point in (("tau", tau), ("its S image -1/tau", GAMMA_S.apply(tau))):
+        try:  # both are summed below
+            ranges[where] = ROWMAJOR.effective_ranges(args.bound, point)
+        except ValueError as exc:
+            raise ValueError(f"--tau {args.tau}: at {where}, {exc}") from exc
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         try:
             lattice = eisenstein_lattice(args.k, tau, args.bound)
@@ -295,14 +301,12 @@ def _cmd_eisenstein(args, report: Report) -> int:
             finite = math.isfinite(drift) and all(math.isfinite(res) for _, res in residuals)
         except OverflowError:
             finite = False
-        except ValueError as exc:  # tau or its S image needs more rows than qmod.MAX_ROWS
-            raise ValueError(f"--tau {args.tau}: {exc}") from exc
     if not finite:
         raise ValueError(
             f"--k {args.k} at --tau {args.tau}: the lattice sums or the q-series are not "
             "finite in double precision"
         )
-    m_range, n_range = ROWMAJOR.effective_ranges(args.bound, tau)
+    m_range, n_range = ranges["tau"]
     _config_record(
         report, args, k=args.k, q_order=args.q_order, tau=_cpx(tau), bound=args.bound,
         ordering=ROWMAJOR.variant, rows=m_range, columns=n_range, tolerance=tol,
@@ -331,17 +335,13 @@ def _cmd_witten_class(args, report: Report) -> int:
     _config_record(report, args, roots=args.roots, dim=args.dim, q_order=args.q_order)
     report.record(record="witten-class", rendered=cls.render())
     for mono in sorted(cls.terms, key=_term_order(model.algebra)):
-        report.record(record="term", monomial=_monomial_name(model.algebra, mono), **cls.terms[mono].to_record())
+        report.record(record="term", monomial=model.algebra.monomial_name(mono), **cls.terms[mono].to_record())
     return OK
 
 
 def _term_order(alg):
     """Sort key of the printed terms: form degree, then monomial."""
     return lambda mono: (alg.form_degree(mono), mono)
-
-
-def _monomial_name(alg, mono) -> str:
-    return "·".join(f"{alg.gens[i].name}^{e}" if e != 1 else alg.gens[i].name for i, e in mono) or "1"
 
 
 def _first_difference(lhs, rhs) -> dict:
@@ -351,7 +351,7 @@ def _first_difference(lhs, rhs) -> dict:
     for mono in sorted(lhs.terms.keys() | rhs.terms.keys(), key=_term_order(alg)):
         a, b = lhs.terms.get(mono), rhs.terms.get(mono)
         if a != b:
-            return {"monomial": _monomial_name(alg, mono), "lhs": _coefficient(lhs, a), "rhs": _coefficient(rhs, b)}
+            return {"monomial": alg.monomial_name(mono), "lhs": _coefficient(lhs, a), "rhs": _coefficient(rhs, b)}
     return {}
 
 

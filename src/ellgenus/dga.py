@@ -11,9 +11,10 @@ every mode.  A sum of many elements (``Algebra.sum``) adds the pieces in order
 into one dict, so it equals the chain of ``+`` from zero, term for term and in
 insertion order.
 
-Monomials are sorted tuples of (generator index, exponent) with generators
-ordered lexicographically by name; the Koszul sign of a product is the parity
-of the transpositions of odd generators needed to restore that order.
+Monomials are sorted tuples of (generator index, exponent >= 1), each
+generator at most once, with generators ordered lexicographically by name; the
+Koszul sign of a product is the parity of the transpositions of odd generators
+needed to restore that order.
 Monomials whose total form degree exceeds the algebra's truncation degree
 vanish, which is what makes every exponential and inverse here a finite
 computation.
@@ -28,9 +29,6 @@ generator y of the right factor, the odd generators of the left factor above y
 are counted with one popcount.  Pairs are visited in the order of the two
 factors' terms, so every coefficient is summed in the same order whatever is
 skipped, and complex-mode results keep their last digits.
-
-Generators marked invertible (the Bott symbol, the automorphy symbol) may carry
-negative exponents; they must have form degree 0, so truncation is unaffected.
 
 The two whole-element maps avoid ``Element`` products where they can.
 ``substitute`` raises each image to each exponent once per call, merges the
@@ -118,18 +116,14 @@ def coerce(mode, value):
 
 @dataclass(frozen=True)
 class Generator:
-    """Algebra generator: name, form degree, optional modular-weight tag."""
+    """Algebra generator: name and form degree."""
 
     name: str
     degree: int
-    invertible: bool = False
-    weight: int = 0
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("form degree must be nonnegative")
-        if self.invertible and self.degree != 0:
-            raise ValueError("only form-degree-0 generators may be invertible")
 
     @property
     def odd(self) -> bool:
@@ -202,24 +196,29 @@ class Algebra:
     def parity(self, mono) -> int:
         return self.mono_info(mono)[0] % 2
 
-    def _mono_valid(self, mono):
+    def monomial_name(self, mono) -> str:
+        """The factors of a monomial joined by '·', exponents as ^e; '1' when empty."""
+        return "·".join(self.gens[i].name + (f"^{e}" if e != 1 else "") for i, e in mono) or "1"
+
+    def _kept(self, mono) -> bool:
+        """Whether a sorted monomial survives truncation.  ValueError unless it is
+        canonical: exponents >= 1, each generator once, odd ones to the first power."""
+        last = -1
         for i, e in mono:
-            g = self.gens[i]
-            if g.odd and e != 1:
-                return False
-            if e < 0 and not g.invertible:
-                return False
+            if e < 1 or i == last or (e != 1 and self.gens[i].odd):
+                raise ValueError(f"invalid monomial {mono}")
+            last = i
         return self.form_degree(mono) <= self.trunc
 
     # -- element constructors ------------------------------------------------
 
     def element(self, terms, mode=RATIONAL) -> "Element":
+        """The element with these {monomial: scalar} terms; a monomial past the
+        truncation degree is dropped, a malformed one is a ValueError."""
         clean = {}
         for mono, c in terms.items():
             mono = tuple(sorted(mono))
-            if not self._mono_valid(mono):
-                if any(self.gens[i].odd and e != 1 for i, e in mono):
-                    raise ValueError(f"invalid monomial {mono}")
+            if not self._kept(mono):
                 continue  # truncated away
             c = coerce(mode, c)
             if c:
@@ -358,11 +357,7 @@ class Element:
                 else:
                     merged = dict(ma)
                     for i, e in mb:
-                        e += merged.get(i, 0)
-                        if e:
-                            merged[i] = e
-                        else:
-                            del merged[i]  # an invertible generator cancelled
+                        merged[i] = merged.get(i, 0) + e
                     mono = tuple(sorted(merged.items()))
                 if oa and ob and _koszul_odd(oa, ob):
                     s = out.get(mono, zero) - ca * cb
@@ -380,7 +375,7 @@ class Element:
 
     def __pow__(self, e: int):
         if e < 0:
-            return _invert_unit_monomial(self) ** (-e)
+            return unit_inverse(self) ** -e
         return power(self, e, self.algebra.one(self.mode))
 
     def __eq__(self, other):
@@ -409,13 +404,7 @@ class Element:
         compact = MODES[self.mode].compact
         for m in keys:
             c = compact(self.terms[m])
-            factors = [
-                alg.gens[i].name + (f"^{e}" if e != 1 else "") for i, e in m
-            ]
-            if not factors:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})·" + "·".join(factors))
+            parts.append(f"({c})·{alg.monomial_name(m)}" if m else f"({c})")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -543,17 +532,6 @@ def unit_inverse(a: Element) -> Element:
     return alg.sum(takewhile(_nonzero, powers), a.mode) * cinv
 
 
-def _invert_unit_monomial(a: Element) -> Element:
-    """Inverse of a single-term element whose generators are all invertible."""
-    if len(a.terms) != 1:
-        return unit_inverse(a)
-    ((mono, c),) = a.terms.items()
-    if all(a.algebra.gens[i].invertible for i, _ in mono):
-        inv_mono = tuple((i, -e) for i, e in mono)
-        return a.algebra.element({inv_mono: MODES[a.mode].inverse(c)}, a.mode)
-    return unit_inverse(a)
-
-
 # ---------------------------------------------------------------------------
 # Division, relations, substitution
 
@@ -594,8 +572,6 @@ def _divide(a: Element, g: Element) -> tuple[Element, Element]:
         raise ZeroDivisionError("division by zero element")
     if not g.is_even():
         raise NotDivisible("divisor must be even")
-    if any(e < 0 for mono in g.terms for _, e in mono):
-        raise NotDivisible("divisor with negative exponents unsupported")
     alg, mode = a.algebra, a.mode
     lead = _lex_max(alg, g.terms)
     lc_inv = MODES[mode].inverse(g.terms[lead])
@@ -648,10 +624,6 @@ def impose_relation(a: Element, rel: Element) -> Element:
 def substitute(a: Element, images: dict) -> Element:
     """Replace even generators by elements (names -> images in the same algebra).
 
-    A negative exponent needs a unit image: a monomial in invertible
-    generators (the Bott/automorphy substitutions) or a unit scalar plus a
-    nilpotent; any other image raises ZeroDivisionError.
-
     Each term's image is built in one pass over its generators.  The factor
     for a generator g^e (its image to the power e, or g^e itself when g is
     kept) is computed once per call.  A factor that is one monomial without
@@ -683,7 +655,7 @@ def substitute(a: Element, images: dict) -> Element:
         return f
 
     def ordered_product(exps, coef, rest):
-        out = alg.element({tuple(sorted((k, x) for k, x in exps.items() if x)): coef}, mode)
+        out = alg.element({tuple(sorted(exps.items())): coef}, mode)
         for el in rest:
             out = out * el
         return out
@@ -694,7 +666,7 @@ def substitute(a: Element, images: dict) -> Element:
         for i, e in mono:
             try:
                 el, single = factor(i, e)
-            except (ArithmeticError, ValueError):  # a non-unit inverted, series weights mixed
+            except ValueError:  # q-series of different weights added
                 # the ordered product stops at its first zero partial product,
                 # so a power it never reaches raises nothing
                 if ordered_product(exps, coef, rest).is_zero():

@@ -40,9 +40,7 @@ class MissingNumber(KeyError):
 
 def eisenstein_symbols(dim: int) -> list[Generator]:
     """Formal normalized Eisenstein symbols E2, E4, .. up to weight dim/2."""
-    return [
-        Generator(f"E{2 * k}", 0, weight=2 * k) for k in range(1, dim // 4 + 1)
-    ]
+    return [Generator(f"E{2 * k}", 0) for k in range(1, dim // 4 + 1)]
 
 
 def symbol_k(name: str) -> int:
@@ -54,9 +52,9 @@ class ChernRootModel:
     """Formal curvature model: r even degree-2 roots inside a full working algebra.
 
     The algebra also carries the string form H (dH = p1 = sum x_j^2), the Bott
-    symbol b (invertible, nominal degree -2 on its own axis), the anomaly
-    symbols u and j, and the Eisenstein symbols E{2k} needed up to this
-    dimension.  Truncation degree is the manifold dimension.
+    symbol b (nominal degree -2 on its own axis), the anomaly symbol u, and the
+    Eisenstein symbols E{2k} needed up to this dimension.  Truncation degree is
+    the manifold dimension.
     """
 
     def __init__(self, r: int, dim: int):
@@ -66,9 +64,8 @@ class ChernRootModel:
         self.dim = dim
         gens = [Generator(f"x{j}", 2) for j in range(1, r + 1)]
         gens.append(Generator("H", 3))
-        gens.append(Generator("b", 0, invertible=True))
-        gens.append(Generator("u", 0, weight=2))
-        gens.append(Generator("j", 0, invertible=True, weight=-1))
+        gens.append(Generator("b", 0))
+        gens.append(Generator("u", 0))
         gens.extend(eisenstein_symbols(dim))
         self.algebra = Algebra(gens, trunc=dim)
         if r:

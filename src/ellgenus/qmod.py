@@ -523,8 +523,8 @@ class LatticeOrdering:
             return MIN_ROWS, n
         if not tau.imag * MAX_ROWS >= ROW_DECAY:  # written so that a nan Im is rejected too
             raise ValueError(
-                f"Im tau = {tau.imag:.3g} needs more than {MAX_ROWS} row-major rows "
-                f"(need Im tau >= {ROW_DECAY / MAX_ROWS:.3g})"
+                f"Im = {tau.imag:.3g} needs more than {MAX_ROWS} row-major rows "
+                f"(need Im >= {ROW_DECAY / MAX_ROWS:.3g})"
             )
         return max(MIN_ROWS, math.ceil(ROW_DECAY / tau.imag)), n
 

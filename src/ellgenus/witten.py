@@ -22,10 +22,14 @@ Stasheff section 16; Hirzebruch-Berger-Jung ch. 1).  So the coefficient of each
 E-monomial is one characteristic number: pairing s_lambda with the Pontryagin
 numbers on its own gives the symbolic genus without expanding the exponential.
 
-Under gamma in SL2(Z) the transformation laws are beta -> beta/j,
-E2 -> j^2 (E2 - u/2), E{2k >= 4} -> j^{2k} E{2k}, where u stands for
-c/(2 pi i (c tau + d)) and j for (c tau + d); u absorbs all the analytic
-factors so the whole delta Wit = dA verification runs in exact arithmetic.
+Under gamma in SL2(Z), with j = c tau + d, the laws are beta -> beta/j,
+E{2k} -> j^{2k} E{2k} for k >= 2 and E2 -> j^2 (E2 - u/2), where u stands for
+c/(2 pi i (c tau + d)).  A monomial b^e prod_k E{2k}^{m_k} picks up j^w with
+automorphy weight w = sum_k 2k m_k - e.  Each factor beta^{2k} E{2k} of the
+class's exponent has w = 0, so every term of the class does, and on elements
+of weight 0 the powers of j cancel: gamma is the one substitution
+E2 -> E2 - u/2.  u absorbs all the analytic factors, so the whole
+delta Wit = dA verification runs in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -225,41 +229,33 @@ def witten_genus(descriptor: ManifoldDescriptor, q_order: int,
 
 
 def gamma_transform(el: Element) -> Element:
-    """The SL2(Z) substitution: beta -> beta/j, E2 -> j^2 (E2 - u/2), E{2k} -> j^{2k} E{2k}."""
+    """The SL2(Z) action on an element of automorphy weight 0: E2 -> E2 - u/2.
+
+    ValueError names the first monomial whose weight is not 0, the weight of
+    b^e prod_k E{2k}^{m_k} being w = sum_k 2k m_k - e (see the module docstring).
+    """
     alg = el.algebra
+    ib = alg.index.get("b")
+    ks = {i: k for i, g in enumerate(alg.gens) if (k := symbol_k(g.name))}
+    for mono in el.terms:
+        if w := sum(2 * ks[i] * e if i in ks else -e if i == ib else 0 for i, e in mono):
+            raise ValueError(f"gamma_transform needs automorphy weight 0; "
+                             f"{alg.monomial_name(mono)} has weight {w}")
     images = {}
-    if "b" in alg.index:
-        images["b"] = alg.gen("b", el.mode) * alg.gen("j", el.mode, -1)
-    for g in alg.gens:
-        name = g.name
-        k = symbol_k(name)
-        if k:
-            jpow = alg.gen("j", el.mode, 2 * k)
-            image = jpow * alg.gen(name, el.mode)
-            if k == 1:
-                image = image - jpow * alg.gen("u", el.mode) * Fraction(1, 2)
-            images[name] = image
+    if "E2" in alg.index:  # below dim 4 there are no symbols, and nothing moves
+        images["E2"] = alg.gen("E2", el.mode) - alg.gen("u", el.mode) * Fraction(1, 2)
     return substitute(el, images)
 
 
-def anomaly_delta_symbolic(model: ChernRootModel) -> Element:
-    """delta Wit = Wit - gamma*Wit; all automorphy powers cancel."""
-    w = witten_class_symbolic(model)
-    delta = w - gamma_transform(w)
-    ij = model.algebra.index["j"]
-    for mono in delta.terms:
-        if any(i == ij for i, _ in mono):
-            raise AssertionError("automorphy factors failed to cancel in delta Wit")
-    return delta
-
-
 def anomaly_delta(model: ChernRootModel, q_order: int | None = None) -> Element:
-    """delta Wit over the anomaly symbols; q-evaluated when q_order is given.
+    """delta Wit = Wit - gamma*Wit over the anomaly symbol u; q-evaluated when
+    q_order is given.
 
     Equals Wit * (1 - exp(-p1 b^2 u / 2)) exactly, so it vanishes identically
     when p1 is imposed to zero and under the u -> 0 specialization.
     """
-    delta = anomaly_delta_symbolic(model)
+    w = witten_class_symbolic(model)
+    delta = w - gamma_transform(w)
     return q_evaluate(delta, q_order) if q_order else delta
 
 

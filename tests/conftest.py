@@ -560,11 +560,7 @@ def _term_by_term_differential(a: Element) -> Element:
 
 
 def _term_by_term_substitute(a: Element, images: dict) -> Element:
-    """Replace even generators by elements (names -> images in the same algebra).
-
-    Negative exponents require the image to be a single invertible monomial
-    with a unit coefficient (the Bott/automorphy substitutions).
-    """
+    """Replace even generators by elements (names -> images in the same algebra)."""
     alg = a.algebra
     img = {}
     for name, el in images.items():
@@ -643,7 +639,7 @@ def eisenstein_symbol_series():
 def _e_symbol_algebra(dim):
     """Algebra on Pontryagin generators p1..p_{dim/4} plus b and the E-symbols."""
     gens = [Generator(f"p{i}", 4 * i) for i in range(1, dim // 4 + 1)]
-    gens.append(Generator("b", 0, invertible=True))
+    gens.append(Generator("b", 0))
     gens.extend(eisenstein_symbols(dim))
     return Algebra(gens, trunc=dim)
 
@@ -666,7 +662,7 @@ def _integrate_e_keyed(descriptor, cls):
         for i, e in mono:
             g = alg.gens[i]
             if k := symbol_k(g.name):
-                eweight += g.weight * e
+                eweight += 2 * k * e
                 ekey[k - 1] = e
             elif g.name == "b":
                 beta_exp = e

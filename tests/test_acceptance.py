@@ -36,7 +36,6 @@ from ellgenus.qmod import (
 from ellgenus.scalars import QI, zeta_even_over_pi_power
 from ellgenus.witten import (
     anomaly_delta,
-    anomaly_delta_symbolic,
     anomaly_primitive,
     witten_class,
     witten_genus,
@@ -155,7 +154,7 @@ def test_criterion_5_anomaly_cocycle():
     for r in (1, 2, 3):
         for dim in (4, 8, 12):
             model = ChernRootModel(r, dim)
-            delta_sym = anomaly_delta_symbolic(model)
+            delta_sym = anomaly_delta(model)
             ok = ok and differential(anomaly_primitive(model)) == delta_sym
             ok = ok and differential(anomaly_primitive(model, 6)) == anomaly_delta(model, 6)
             ok = ok and impose_relation(delta_sym, model.p1()).is_zero()

@@ -120,6 +120,16 @@ def test_eisenstein_large_k_exits_cleanly(capsys, argv, expected):
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: --k 400 at --tau 0,1: ")
 
 
+# The S residual sums E at -1/tau, so a large Im tau puts the S image over the row
+# cap; the error names the point that is over it, before any row is summed.
+@pytest.mark.parametrize("tau,where,im", [("0,1e5", "its S image -1/tau", "1e-05"),
+                                          ("0,0.001", "tau", "0.001")])
+def test_eisenstein_row_cap_names_the_point_over_it(capsys, monkeypatch, tau, where, im):
+    monkeypatch.setattr(qmod, "_row_sums", lambda *args: pytest.fail("rows were summed"))
+    err = assert_input_error(capsys, "eisenstein", "--k", "2", "--q-order", "3", "--tau", tau)
+    assert err.startswith(f"error: --tau {tau}: at {where}, Im = {im} needs more than")
+
+
 def test_eisenstein_rejects_a_large_k_before_any_bernoulli_number(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"bernoulli({n}) called")

@@ -19,7 +19,7 @@ from ellgenus.dga import (
     unit_inverse,
 )
 from ellgenus.geom import ChernRootModel
-from ellgenus.qmod import QSeries, eisenstein_q
+from ellgenus.qmod import QSeries, WeightMismatch, eisenstein_q
 from ellgenus.scalars import QI, PiScalar
 
 
@@ -31,7 +31,7 @@ def make_algebra(trunc=8):
             Generator("x2", 2),
             Generator("H", 3),
             Generator("K", 1),
-            Generator("b", 0, invertible=True),
+            Generator("b", 0),
             Generator("u", 0),
         ],
         trunc=trunc,
@@ -56,7 +56,6 @@ def random_element(alg, rng, mode=dga.RATIONAL, even_only=False, max_terms=4,
         g.name
         for g in alg.gens
         if not (even_only and g.odd)
-        and not g.invertible
         and not (positive_degree and g.degree == 0)
     ]
     for _ in range(rng.randint(1, max_terms)):
@@ -227,6 +226,19 @@ def test_divide_exact_polynomial_divisor():
     assert q * p1 == a
 
 
+def test_element_keeps_monomials_canonical():
+    """An exponent below 1 or a generator repeated in one monomial is a ValueError;
+    only a form degree past the truncation drops a monomial silently."""
+    alg = ChernRootModel(1, 8).algebra
+    with pytest.raises(ValueError, match="invalid monomial"):
+        alg.gen("x1", power=-1)
+    for text in ("(3)·x1^0", "(1)·x1·x1", "(1)·H·H"):
+        with pytest.raises(ValueError, match="invalid monomial"):
+            parse_element(alg, dga.RATIONAL, text)
+    assert parse_element(alg, dga.RATIONAL, "(1)·x1^2") == alg.gen("x1") ** 2
+    assert alg.gen("x1", power=5).is_zero()  # form degree 10 > 8
+
+
 def test_impose_relation_examples():
     alg = p_algebra(trunc=8)
     p1, p2, u = alg.gen("p1"), alg.gen("p2"), alg.gen("u")
@@ -250,7 +262,9 @@ def test_substitute_and_inverse_powers():
     el = x1 * b**2 + alg.one()
     out = substitute(el, {"b": b * u})
     assert out == x1 * b**2 * u**2 + alg.one()
-    assert (b**-2) * b**2 == alg.one()
+    assert (alg.one() + x1) ** -2 * (alg.one() + x1) ** 2 == alg.one()
+    with pytest.raises(ZeroDivisionError):
+        b**-2  # a negative power needs a unit
     assert substitute(x1 * u, {"u": alg.zero()}).is_zero()
 
 
@@ -259,7 +273,8 @@ def test_unit_inverse():
     alg = make_algebra(trunc=8)
     for _ in range(10):
         n = random_element(alg, rng, even_only=True)
-        n = n - alg.scalar(n.unit_part())
+        # drop every form-degree-0 monomial (scalars, u, b, u*b), keeping u*x1 and b*x1
+        n = alg.element({m: c for m, c in n.terms.items() if alg.form_degree(m)})
         a = alg.one() * Fraction(rng.randint(1, 5), rng.randint(1, 3)) + n
         assert a * unit_inverse(a) == alg.one()
 
@@ -302,14 +317,14 @@ ALL_MODES = list(dga.MODES)
 
 
 def sample_element(alg, mode):
-    """1 + c·x1 + H·b^-2 with a coefficient c that only this mode can hold."""
+    """1 + c·x1 + H·b^2 with a coefficient c that only this mode can hold."""
     c = {
         dga.RATIONAL: Fraction(-3, 7),
         dga.PI: PiScalar.pi_power(-2, QI(Fraction(1, 3), -2)),
         dga.QSERIES: eisenstein_q(1, 4) * Fraction(2, 5),
         dga.COMPLEX: complex(0.1, -2.5e-17),
     }[mode]
-    return alg.one(mode) + alg.gen("x1", mode) * c + alg.gen("H", mode) * alg.gen("b", mode, -2)
+    return alg.one(mode) + alg.gen("x1", mode) * c + alg.gen("H", mode) * alg.gen("b", mode, 2)
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
@@ -396,7 +411,7 @@ def _mono_mul(alg, ma, mb):
     merged = dict(ma)
     for i, e in mb:
         merged[i] = merged.get(i, 0) + e
-    mono = tuple(sorted((i, e) for i, e in merged.items() if e != 0))
+    mono = tuple(sorted(merged.items()))
     if alg.form_degree(mono) > alg.trunc:
         return None
     return sign, mono
@@ -424,11 +439,11 @@ def _oracle_product(a, b):
 
 
 def kernel_algebra(trunc=9):
-    """Odd generators of degrees 1 and 3 interleaved with even and invertible ones."""
+    """Odd generators of degrees 1 and 3 interleaved with even ones, two of degree 0."""
     return Algebra(
         [
-            Generator("a", 1), Generator("b", 0, invertible=True), Generator("c", 3),
-            Generator("d", 2), Generator("e", 1), Generator("f", 0, invertible=True),
+            Generator("a", 1), Generator("b", 0), Generator("c", 3),
+            Generator("d", 2), Generator("e", 1), Generator("f", 0),
             Generator("g", 3), Generator("h", 4), Generator("k", 1),
         ],
         trunc=trunc,
@@ -436,12 +451,12 @@ def kernel_algebra(trunc=9):
 
 
 def random_monomial(alg, rng):
-    """A canonical monomial of form degree <= trunc; invertible exponents may be negative."""
+    """A canonical monomial of form degree <= trunc."""
     while True:
         mono = []
         for i in sorted(rng.sample(range(len(alg.gens)), rng.randint(0, min(4, len(alg.gens))))):
             g = alg.gens[i]
-            e = 1 if g.odd else rng.choice([-2, -1, 1, 2]) if g.invertible else rng.randint(1, 2)
+            e = 1 if g.odd else rng.randint(1, 2)
             mono.append((i, e))
         mono = tuple(mono)
         if alg.form_degree(mono) <= alg.trunc:
@@ -451,7 +466,7 @@ def random_monomial(alg, rng):
 def test_product_matches_the_oracle_on_random_monomials():
     alg = kernel_algebra()
     rng = Random(20240611)
-    seen = {"kept": 0, "dropped": 0, "negative": 0, "cancelled": 0}
+    seen = {"kept": 0, "dropped": 0, "negative": 0}
     for _ in range(3000):
         ma, mb = random_monomial(alg, rng), random_monomial(alg, rng)
         got = alg.element({ma: 1}) * alg.element({mb: 1})
@@ -464,7 +479,6 @@ def test_product_matches_the_oracle_on_random_monomials():
         assert got.terms == {mono: Fraction(sign)}
         seen["kept"] += 1
         seen["negative"] += sign < 0
-        seen["cancelled"] += any(i not in dict(mono) for i, _ in ma + mb)
     assert min(seen.values()) > 20, seen  # every branch of the kernel was exercised
 
 
@@ -493,22 +507,13 @@ def test_koszul_sign_at_every_pair_of_odd_positions():
     assert c == 1  # e passes a and c
 
 
-def test_invertible_exponents_cancel_to_the_empty_monomial():
-    alg = kernel_algebra()
-    b, f, d = alg.gen("b"), alg.gen("f"), alg.gen("d")
-    assert (b**2 * f) * (b**-2 * f**-1) == alg.one()
-    assert (b**2 * d) * b**-2 == d
-    prod = (b**-1 * f**2) * (b * f**-1 * d)
-    assert prod.terms == {((alg.index["d"], 1), (alg.index["f"], 1)): 1}
-
-
 def test_degree_exactly_trunc_is_kept_and_trunc_plus_one_dropped():
     alg = kernel_algebra(trunc=9)
     h, d, c, k = (alg.gen(n) for n in "hdck")
     assert alg.form_degree(next(iter((h * d * c).terms))) == 9
     assert not ((h * d) * c).is_zero()  # 6 + 3 = 9
     assert ((h * d) * (c * k)).is_zero()  # 6 + 4 = 10
-    assert not ((h * h) * (k * alg.gen("b", power=-1))).is_zero()  # 8 + 1, a degree-0 factor
+    assert not ((h * h) * (k * alg.gen("b"))).is_zero()  # 8 + 1, a degree-0 factor
     assert ((h * h) * (d * alg.gen("f"))).is_zero()  # 8 + 2
 
 
@@ -710,17 +715,12 @@ def random_sparse_element(alg, rng, mode, most=6):
 
 
 def random_image(alg, rng, mode, name):
-    """Zero, a scalar, one monomial (odd generators allowed), or several terms;
-    an invertible generator more often gets a unit, so its negative powers exist."""
-    kind = rng.choice(["zero", "scalar", "monomial", "terms", "unit"])
+    """Zero, a scalar, one monomial (odd generators allowed), or several terms."""
+    kind = rng.choice(["zero", "scalar", "monomial", "terms"])
     if kind == "zero":
         return alg.zero(mode)
     if kind == "scalar":
         return weight_zero_scalar(rng, mode)
-    if kind == "unit" and alg.gens[alg.index[name]].invertible:
-        units = [(i, rng.choice([-1, 1, 2])) for i, g in enumerate(alg.gens) if g.invertible]
-        return dga.Element(alg, mode, {tuple(rng.sample(units, rng.randint(1, len(units)))):
-                                       weight_zero_scalar(rng, mode)}) * alg.one(mode)
     return random_sparse_element(alg, rng, mode, most=1 if kind == "monomial" else 3)
 
 
@@ -762,27 +762,24 @@ def test_differential_matches_the_term_by_term_oracle(term_by_term_differential,
 
 
 def test_substitute_raises_what_the_oracle_raises(term_by_term_substitute):
-    """A negative power of a non-unit image is a ZeroDivisionError, unless an
+    """A power of an image whose q-series weights clash is a WeightMismatch, unless an
     earlier factor of the term already vanished; an odd generator takes no image."""
     alg = kernel_algebra()
-    b, d, f = alg.gen("b"), alg.gen("d"), alg.gen("f", power=-1)
-    for images, want in [({"f": d}, ZeroDivisionError), ({"d": 0, "f": d}, []),
-                         ({"b": d**2, "d": d**3, "f": d}, []),  # d^5 is truncated away
-                         ({"b": d, "d": d**3, "f": d}, ZeroDivisionError)]:
-        got = outcome(substitute, b * d * f, images)
-        assert got == outcome(term_by_term_substitute, b * d * f, images) == want
+    mode = dga.QSERIES
+    b, d, f = (alg.gen(name, mode) for name in "bdf")
+    i = alg.index["d"]
+    # weights 0, 2, 2: the d^2 term of its square adds weight 2 to weight 4
+    clash = dga.Element(alg, mode, {(): QSeries.constant(1), ((i, 1),): eisenstein_q(1, 3),
+                                    ((i, 2),): eisenstein_q(1, 3)})
+    term = b * d * f**2
+    for images, want in [({"f": clash}, WeightMismatch), ({"d": 0, "f": clash}, []),
+                         ({"b": d**2, "d": d**3, "f": clash}, []),  # d^5 is truncated away
+                         ({"b": d, "d": d**3, "f": clash}, WeightMismatch)]:
+        got = outcome(substitute, term, images)
+        assert got == outcome(term_by_term_substitute, term, images) == want
     for sub in (substitute, term_by_term_substitute):
         with pytest.raises(ValueError, match="even generators only"):
             sub(d, {"a": d})
-
-
-def test_differential_of_a_negative_power():
-    """d(b^-1) = -b^-2 db, so d(b^-1 b) = d(1) = 0 by Leibniz."""
-    alg = Algebra([Generator("b", 0, invertible=True), Generator("y", 1)], trunc=4)
-    alg.set_differential("b", alg.gen("y"))
-    b, inv, y = alg.gen("b"), alg.gen("b", power=-1), alg.gen("y")
-    assert differential(inv) == -(alg.gen("b", power=-2) * y)
-    assert differential(inv) * b + inv * differential(b) == differential(inv * b) == alg.zero()
 
 
 def test_d_image_is_converted_once_per_mode():

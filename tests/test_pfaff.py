@@ -271,6 +271,21 @@ def test_product_equals_exponential_form_exactly(r, dim):
         assert prod == product_exponential_form(m, bound, QI(0, 2), dga.PI)
 
 
+def _drawn_product_cases():
+    """(r, dim, bound, tau) from a fixed seed: r <= 2, bound <= 2, Gaussian-rational tau."""
+    rng = Random("sweep:product")
+    for _ in range(8):
+        re, im = Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        r, dim, bound = rng.randint(1, 2), rng.choice((4, 8)), rng.randint(1, 2)
+        yield pytest.param(r, dim, bound, QI(re, im), id=f"r{r}-dim{dim}-bound{bound}-tau{re}+{im}i")
+
+
+@pytest.mark.parametrize("r,dim,bound,tau", _drawn_product_cases())
+def test_seeded_product_equals_exponential_form(r, dim, bound, tau):
+    m = ChernRootModel(r, dim)
+    assert regularized_product(m, bound, tau, dga.PI) == product_exponential_form(m, bound, tau, dga.PI)
+
+
 def test_product_order_independence_same_index_set():
     m = ChernRootModel(1, 8)
     pts = list(z2plus_points(2))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +26,6 @@ from ellgenus.witten import (
     _partitions,
     partition_numbers,
     anomaly_delta,
-    anomaly_delta_symbolic,
     anomaly_primitive,
     gamma_transform,
     product_descriptor,
@@ -151,19 +151,22 @@ def test_genus_weight_bookkeeping():
 
 
 def test_gamma_transform_shape():
+    """On automorphy weight 0 only E2 moves; any other weight names its monomial."""
     m = ChernRootModel(1, 8)
     alg = m.algebra
-    j, u = alg.gen("j"), alg.gen("u")
-    assert gamma_transform(alg.gen("E2")) == j * j * (alg.gen("E2") - u * Fraction(1, 2))
-    assert gamma_transform(alg.gen("E4")) == j**4 * alg.gen("E4")
-    assert gamma_transform(m.beta()) == m.beta() * alg.gen("j", power=-1)
+    b2, e2, e4, u = m.beta() ** 2, alg.gen("E2"), alg.gen("E4"), alg.gen("u")
+    assert gamma_transform(b2 * e2) == b2 * (e2 - u * Fraction(1, 2))
+    assert gamma_transform(b2 * b2 * e4) == b2 * b2 * e4
+    for el, name, w in ((e4, "E4", 4), (m.beta(), "b", -1), (b2 * e4, "E4·b^2", 2)):
+        with pytest.raises(ValueError, match=re.escape(f"; {name} has weight {w}")):
+            gamma_transform(el)
 
 
 @pytest.mark.parametrize("r,dim", [(1, 4), (2, 8), (3, 12)])
 def test_delta_closed_form(r, dim):
     m = ChernRootModel(r, dim)
     alg = m.algebra
-    delta = anomaly_delta_symbolic(m)
+    delta = anomaly_delta(m)
     w = witten_class_symbolic(m)
     exponent = -m.p1() * m.beta() ** 2 * alg.gen("u") * Fraction(1, 2)
     assert delta == w * (alg.one() - dga.exp_nilpotent(exponent))
@@ -171,14 +174,14 @@ def test_delta_closed_form(r, dim):
 
 def test_delta_dim4_first_order():
     m = ChernRootModel(1, 4)
-    delta = anomaly_delta_symbolic(m)
+    delta = anomaly_delta(m)
     expect = m.roots()[0] ** 2 * m.beta() ** 2 * m.algebra.gen("u") * Fraction(1, 2)
     assert delta == expect
 
 
 def test_delta_vanishes_under_relation_and_u0():
     m = ChernRootModel(2, 8)
-    delta = anomaly_delta_symbolic(m)
+    delta = anomaly_delta(m)
     assert impose_relation(delta, m.p1()).is_zero()
     assert substitute(delta, {"u": m.algebra.zero()}).is_zero()
     a = anomaly_primitive(m)
@@ -189,7 +192,7 @@ def test_delta_vanishes_under_relation_and_u0():
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_anomaly_cocycle_exact(r, dim):
     m = ChernRootModel(r, dim)
-    assert differential(anomaly_primitive(m)) == anomaly_delta_symbolic(m)
+    assert differential(anomaly_primitive(m)) == anomaly_delta(m)
     assert differential(anomaly_primitive(m, 6)) == anomaly_delta(m, 6)
 
 
@@ -324,7 +327,7 @@ def q_evaluate_term_by_term(el, q_order, eisenstein_symbol_series):
 @pytest.mark.parametrize("r,dim", [(2, 8), (3, 12)])
 def test_q_evaluate_matches_term_by_term(r, dim, eisenstein_symbol_series):
     m = ChernRootModel(r, dim)
-    for el in (witten_class_symbolic(m), anomaly_delta_symbolic(m)):
+    for el in (witten_class_symbolic(m), anomaly_delta(m)):
         assert q_evaluate(el, 6) == q_evaluate_term_by_term(el, 6, eisenstein_symbol_series)
 
 
@@ -375,6 +378,23 @@ def test_seeded_string_genus_is_modular():
         d = random_descriptor(rng, rng.choice((8, 12, 16, 20)), string=True)
         verdict = string_modularity_check(d, 6)["verdict"]
         assert verdict == "modular", f"case {case}: {d} gives {verdict}"
+
+
+def _drawn_anomaly_cases():
+    """(r, dim, q_order) from a fixed seed: r <= 4, dim <= 16, q_order <= 6."""
+    rng = random.Random("sweep:anomaly")
+    return [(rng.randint(1, 4), rng.choice((4, 8, 12, 16)), rng.randint(1, 6)) for _ in range(8)]
+
+
+@pytest.mark.parametrize("r,dim,q", _drawn_anomaly_cases())
+def test_seeded_anomaly_identities(r, dim, q):
+    """dA = delta Wit, symbolic and q-evaluated, and gamma(Wit) = Wit exp(-p1 b^2 u / 2)."""
+    m = ChernRootModel(r, dim)
+    w = witten_class_symbolic(m)
+    shift = dga.exp_nilpotent(-m.p1() * m.beta() ** 2 * m.algebra.gen("u") * Fraction(1, 2))
+    assert gamma_transform(w) == w * shift
+    assert differential(anomaly_primitive(m)) == anomaly_delta(m)
+    assert differential(anomaly_primitive(m, q)) == anomaly_delta(m, q)
 
 
 @pytest.mark.parametrize("string,verdict", [(True, "modular"), (False, "quasi-modular")])
