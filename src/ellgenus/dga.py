@@ -5,7 +5,7 @@ four modes: exact rationals (``Fraction``), Gaussian rationals with a formal pi
 symbol (``PiScalar``), rational q-series (``QSeries``), or complex floats.
 ``MODES`` holds each mode's decisions in one ``ScalarMode`` record: its type,
 the types that inject into it (a float only into complex mode), the scalar
-inverse, and the text form used by ``render`` and ``parse_element``.  Every
+inverse, and the coefficient text that ``render`` prints.  Every
 scalar type is falsy exactly when it is zero, so ``not s`` is the zero test in
 every mode.  A sum of many elements (``Algebra.sum``) adds the pieces in order
 into one dict, so it equals the chain of ``+`` from zero, term for term and in
@@ -74,30 +74,21 @@ class ScalarMode:
     make: Callable
     inverse: Callable
     compact: Callable
-    parse: Callable
 
 
 def _complex_compact(s) -> str:
     return f"c{{{s.real!r},{s.imag!r}}}"
 
 
-def _complex_parse(text: str) -> complex:
-    body = text.strip()
-    if not (body.startswith("c{") and body.endswith("}")):
-        raise ValueError(f"bad complex token {text!r}")
-    re, im = body[2:-1].split(",")
-    return complex(float(re), float(im))
-
-
 # A float injects only into complex mode: exact modes never see round-off.
 MODES = {
-    RATIONAL: ScalarMode(Fraction, (int,), Fraction, lambda s: 1 / s, str, Fraction),
+    RATIONAL: ScalarMode(Fraction, (int,), Fraction, lambda s: 1 / s, str),
     PI: ScalarMode(PiScalar, (QI, int, Fraction), PiScalar.of, PiScalar.inverse,
-                   PiScalar.compact, PiScalar.parse),
+                   PiScalar.compact),
     QSERIES: ScalarMode(QSeries, (int, Fraction), QSeries.constant, QSeries.inverse,
-                        QSeries.compact, QSeries.parse_compact),
+                        QSeries.compact),
     COMPLEX: ScalarMode(complex, (int, float, Fraction, QI, PiScalar), complex,
-                        lambda s: 1.0 / s, _complex_compact, _complex_parse),
+                        lambda s: 1.0 / s, _complex_compact),
 }
 _ZERO = {name: mode.make(0) for name, mode in MODES.items()}
 
@@ -429,35 +420,6 @@ def _koszul_odd(odd_a: int, odd_b: int) -> int:
         swaps += (odd_a & -(low << 1)).bit_count()  # a's odd generators above this one
         odd_b ^= low
     return swaps & 1
-
-
-def parse_element(algebra: Algebra, mode, text: str) -> Element:
-    """Inverse of Element.render (terms joined by ' + ', coefficients in parens)."""
-    text = text.strip()
-    if text == "0":
-        return algebra.zero(mode)
-    parse, zero = MODES[mode].parse, _ZERO[mode]
-    terms = {}
-    for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        if not chunk.startswith("("):
-            raise ValueError(f"bad term {chunk!r}")
-        depth, pos = 0, 0
-        for pos, ch in enumerate(chunk):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0:
-                break
-        coeff = parse(chunk[1:pos])
-        mono = []
-        rest = chunk[pos + 1 :]
-        if rest:
-            for factor in rest.lstrip("·").split("·"):
-                name, _, exp = factor.partition("^")
-                mono.append((algebra.index[name], int(exp) if exp else 1))
-        key = tuple(sorted(mono))
-        terms[key] = terms.get(key, zero) + coeff
-    return algebra.element(terms, mode)
 
 
 # ---------------------------------------------------------------------------

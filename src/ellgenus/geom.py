@@ -183,7 +183,7 @@ class ManifoldDescriptor:
         if type(dim) is not int:  # not a float, whose fraction int() would drop, nor a bool
             raise TypeError(f"dim must be a JSON integer, got {dim!r}")
         nums = {
-            tuple(int(s) for s in key.split(",")): exact_number(val, f"pontryagin_numbers[{json.dumps(key)}]")
+            key: exact_number(val, f"pontryagin_numbers[{json.dumps(key)}]")
             for key, val in rec.get("pontryagin_numbers", {}).items()
         }
         return ManifoldDescriptor(dim, nums)
@@ -200,8 +200,13 @@ class ManifoldDescriptor:
 
 
 def _canonical_partition(part) -> tuple:
+    """Parts in nonincreasing order, from ints or a pontryagin_numbers key such as "2,1,1"."""
     if isinstance(part, str):
-        part = tuple(int(s) for s in part.split(","))
+        try:
+            part = [int(s) for s in part.split(",")]
+        except ValueError:
+            raise TypeError(f"pontryagin_numbers key {json.dumps(part)} is not comma-separated "
+                            "integers") from None
     return tuple(sorted((int(i) for i in part), reverse=True))
 
 

@@ -15,6 +15,10 @@ equals the exponential of partial lattice sums exactly at every truncation,
 variant sometimes quoted drops that minus).  The circle-mode analogue produces
 the A-hat class; its per-mode normalization is pinned by the (z/2)/sinh(z/2)
 Taylor oracle.
+
+A Pfaffian is one perfect-matching expansion that computes each sub-Pfaffian
+once; a determinant is elimination on unit pivots, with a Laplace expansion
+when no unit pivot is left.
 """
 
 from __future__ import annotations
@@ -83,86 +87,47 @@ def _is_unit(el: Element) -> bool:
 def pfaffian(matrix) -> Element:
     """Pfaffian of a skew matrix of algebra elements; Pf(M)^2 = det(M).
 
-    Perfect-matching expansion up to size 8 (with zero pruning), skew
-    elimination with unit pivots above, falling back to the expansion when no
-    unit pivot exists.
+    The perfect-matching expansion along the first remaining row, skipping
+    zero entries; see _pf_matchings.
     """
     n = _check_skew(matrix)
     if n == 0:
         raise ValueError("empty matrix has no algebra context")
-    if n <= 8:
-        return _pf_matchings(matrix, tuple(range(n)))
-    return _pf_eliminate([row[:] for row in matrix])
+    return _pf_matchings(matrix)
 
 
-def _pf_matchings(matrix, idx) -> Element:
+def _pf_matchings(matrix) -> Element:
+    """Pf(M) = sum_t (-1)^t M[i0][j_t] Pf(M without rows and columns i0, j_t).
+
+    Each sub-Pfaffian is computed once, keyed by its tuple of remaining
+    indices, so a sparse matrix costs its number of distinct sub-Pfaffians
+    rather than its number of matchings: the paired torus block links each row
+    to two columns and has O(r) of them.  The keys are found level by level
+    (each pairing removes two indices) and evaluated deepest level first, with
+    no recursion; each sum runs in matching order.
+    """
     alg = matrix[0][0].algebra
     mode = matrix[0][0].mode
-    if len(idx) == 0:
-        return alg.one(mode)
-    i0 = idx[0]
-    rest = idx[1:]
-    return alg.sum((_signed(t, matrix[i0][jt] * _pf_matchings(matrix, rest[:t] + rest[t + 1 :]))
-                    for t, jt in enumerate(rest) if not matrix[i0][jt].is_zero()), mode)
+    top = tuple(range(len(matrix)))
+    terms = {}  # key -> [(t, M[i0][j_t], key without i0 and j_t)] over the nonzero entries
+    level = [top]
+    while level and level[0]:
+        below = {}
+        for idx in level:
+            i0, rest = idx[0], idx[1:]
+            terms[idx] = [(t, matrix[i0][j], rest[:t] + rest[t + 1 :])
+                          for t, j in enumerate(rest) if not matrix[i0][j].is_zero()]
+            below.update(dict.fromkeys(sub for _, _, sub in terms[idx]))
+        level = list(below)
+    pf = {(): alg.one(mode)}
+    for idx in reversed(terms):
+        pf[idx] = alg.sum((_signed(t, entry * pf[sub]) for t, entry, sub in terms[idx]), mode)
+    return pf[top]
 
 
 def _signed(t, term):
     """(-1)^t term, by negation rather than a scalar product."""
     return term if t % 2 == 0 else -term
-
-
-def _pf_eliminate(m, context=None) -> Element:
-    """Skew elimination on the unit pivot m[0][1]: Pf(m) = p Pf(S), with the Schur
-    complement S_ij = m_ij - (m_0i m_1j - m_0j m_1i) / p over rows and columns >= 2.
-
-    A correction whose two products both have a zero factor is skipped (S_ij is
-    m_ij itself), and 1 / p is formed only when some correction survives.
-    """
-    n = len(m)
-    if n == 0:
-        alg, mode = context
-        return alg.one(mode)
-    alg = m[0][0].algebra
-    mode = m[0][0].mode
-    if not _is_unit(m[0][1]):
-        swap = next(
-            ((i, j) for i in range(n) for j in range(i + 1, n) if _is_unit(m[i][j])),
-            None,
-        )
-        if swap is None:
-            return _pf_matchings(m, tuple(range(n)))
-        i, j = swap
-        flips = 0
-        if i != 0:
-            _swap_rowcol(m, i, 0)  # j > i >= 0, so j is untouched
-            flips += 1
-        if j != 1:
-            _swap_rowcol(m, j, 1)
-            flips += 1
-        result = _pf_eliminate(m)
-        return -result if flips % 2 else result
-    p = m[0][1]
-    pinv = None
-    zero0 = [e.is_zero() for e in m[0]]
-    zero1 = [e.is_zero() for e in m[1]]
-    sub = []
-    for i in range(2, n):
-        row = []
-        for j in range(2, n):
-            if (zero0[i] or zero1[j]) and (zero0[j] or zero1[i]):
-                row.append(m[i][j])
-                continue
-            if pinv is None:
-                pinv = unit_inverse(p)
-            row.append(m[i][j] - (m[0][i] * m[1][j] - m[0][j] * m[1][i]) * pinv)
-        sub.append(row)
-    return p * _pf_eliminate(sub, (alg, mode))
-
-
-def _swap_rowcol(m, a, b):
-    m[a], m[b] = m[b], m[a]
-    for row in m:
-        row[a], row[b] = row[b], row[a]
 
 
 def determinant(matrix) -> Element:

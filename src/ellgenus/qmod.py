@@ -297,22 +297,6 @@ class QSeries:
         order = "inf" if self.order is None else str(self.order)
         return "q{w=%d;N=%s;%s}" % (self.weight, order, cs)
 
-    @staticmethod
-    def parse_compact(text: str) -> "QSeries":
-        t = text.strip()
-        if not (t.startswith("q{") and t.endswith("}")):
-            raise ValueError(f"bad QSeries token: {text!r}")
-        fields = t[2:-1].split(";")
-        w = int(fields[0].removeprefix("w="))
-        n = fields[1].removeprefix("N=")
-        order = None if n == "inf" else int(n)
-        coeffs = {}
-        for item in fields[2:]:
-            if item:
-                e, c = item.split(":")
-                coeffs[int(e)] = Fraction(c)
-        return QSeries(w, coeffs, order)
-
     def to_record(self) -> dict:
         """External record: {weight, min_exp, coeffs, order} with "p/q" strings."""
         if self.is_zero():

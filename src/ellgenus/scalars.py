@@ -189,7 +189,8 @@ class QI:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """A real QI hashes as its Fraction, so values equal to an int or Fraction hash alike."""
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def is_zero(self) -> bool:
         return not (self.a or self.b)
@@ -211,18 +212,6 @@ class QI:
             return str(self.re)
         im = f"{self.im}i" if self.b < 0 else f"+{self.im}i"
         return f"{self.re}{im}"
-
-    @staticmethod
-    def parse(text: str) -> "QI":
-        t = text.strip()
-        if t.endswith("i"):
-            body = t[:-1]
-            # split at the sign of the imaginary part (not the leading sign)
-            for p in range(len(body) - 1, 0, -1):
-                if body[p] in "+-" and body[p - 1] not in "+-/":
-                    return QI(Fraction(body[:p]), Fraction(body[p:] or "1"))
-            return QI(0, Fraction(body or "1"))
-        return QI(Fraction(t))
 
 
 def _qi(a: int, b: int, d: int) -> QI:
@@ -319,6 +308,9 @@ class PiScalar:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        """A pi^0-only PiScalar hashes as its QI coefficient, so equal values hash alike."""
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, QI(0)))
         return hash(frozenset(self.coeffs.items()))
 
     def is_zero(self) -> bool:
@@ -363,19 +355,6 @@ class PiScalar:
         """Space-free rendering, e.g. ``pi{-2:1/4;0:-1+2i}``."""
         items = ";".join(f"{k}:{v.compact()}" for k, v in sorted(self.coeffs.items()))
         return "pi{" + items + "}"
-
-    @staticmethod
-    def parse(text: str) -> "PiScalar":
-        t = text.strip()
-        if not (t.startswith("pi{") and t.endswith("}")):
-            raise ValueError(f"bad PiScalar token: {text!r}")
-        body = t[3:-1]
-        out = {}
-        if body:
-            for item in body.split(";"):
-                k, v = item.split(":")
-                out[int(k)] = QI.parse(v)
-        return PiScalar(out)
 
 
 def _pi(coeffs: dict) -> PiScalar:

@@ -10,7 +10,7 @@ import pytest
 from ellgenus import dga
 from ellgenus.dga import Algebra, Element, Generator, coerce
 from ellgenus.geom import eisenstein_symbols, power_sums_to_pontryagin, symbol_k
-from ellgenus.pfaff import _det_laplace, _pf_matchings, _swap_rowcol
+from ellgenus.pfaff import _det_laplace, _signed
 from ellgenus.qmod import eisenstein_q, half_lattice_normalization, z2plus_shell
 from ellgenus.scalars import QI, PiScalar, power
 from ellgenus.witten import _partitions, _require_every_number
@@ -107,7 +107,9 @@ def lex_max_divide():
 
 # ---------------------------------------------------------------------------
 # Dense elimination kernels, kept as oracles beside the library's sparse ones:
-# every pivot inverse formed, every entry of every row below rewritten.
+# every pivot inverse formed, every entry of every row below rewritten.  The
+# Pfaffian's elimination checks the library's keyed matching expansion by value,
+# and the unkeyed expansion checks it term for term.
 
 
 def _dense_is_unit(el):
@@ -137,6 +139,24 @@ def _series_unit_inverse(a):
             break
         out = out + power
     return out * cinv
+
+
+def _pf_matchings(matrix, idx):
+    """The perfect-matching expansion with every sub-Pfaffian recomputed."""
+    alg = matrix[0][0].algebra
+    mode = matrix[0][0].mode
+    if len(idx) == 0:
+        return alg.one(mode)
+    i0 = idx[0]
+    rest = idx[1:]
+    return alg.sum((_signed(t, matrix[i0][jt] * _pf_matchings(matrix, rest[:t] + rest[t + 1 :]))
+                    for t, jt in enumerate(rest) if not matrix[i0][jt].is_zero()), mode)
+
+
+def _swap_rowcol(m, a, b):
+    m[a], m[b] = m[b], m[a]
+    for row in m:
+        row[a], row[b] = row[b], row[a]
 
 
 def _dense_pf_eliminate(m, context=None):
@@ -211,6 +231,13 @@ def dense_determinant():
 def dense_pf_eliminate():
     """Pfaffian of a skew matrix by dense elimination on a copy of it."""
     return lambda matrix: _dense_pf_eliminate([row[:] for row in matrix])
+
+
+@pytest.fixture
+def unkeyed_pfaffian():
+    """Pfaffian of a skew matrix by the perfect-matching expansion, no sub-Pfaffian
+    reused: the sum the library's keyed expansion must equal term for term."""
+    return lambda matrix: _pf_matchings(matrix, tuple(range(len(matrix))))
 
 
 @pytest.fixture
@@ -486,7 +513,7 @@ class FractionQI:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -508,18 +535,6 @@ class FractionQI:
             return str(self.re)
         im = f"{self.im}i" if self.im < 0 else f"+{self.im}i"
         return f"{self.re}{im}"
-
-    @staticmethod
-    def parse(text: str) -> "FractionQI":
-        t = text.strip()
-        if t.endswith("i"):
-            body = t[:-1]
-            # split at the sign of the imaginary part (not the leading sign)
-            for p in range(len(body) - 1, 0, -1):
-                if body[p] in "+-" and body[p - 1] not in "+-/":
-                    return FractionQI(Fraction(body[:p]), Fraction(body[p:] or "1"))
-            return FractionQI(0, Fraction(body or "1"))
-        return FractionQI(Fraction(t))
 
 
 @pytest.fixture

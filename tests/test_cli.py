@@ -679,6 +679,15 @@ def test_an_inexact_number_is_an_input_error_naming_its_field(capsys, tmp_path, 
     assert err == f"error: {path}: malformed record: {field} must be a JSON string or integer, got {value}\n"
 
 
+@pytest.mark.parametrize("key", ["a", "", "1,x"])
+def test_a_partition_key_that_is_no_integers_is_an_input_error_naming_it(capsys, tmp_path, key):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"dim": 4, "pontryagin_numbers": {"1": "3", key: "1"}}))
+    err = assert_input_error(capsys, "genus", "--descriptor", str(path))
+    assert err == (f"error: {path}: malformed record: pontryagin_numbers key {json.dumps(key)} "
+                   "is not comma-separated integers\n")
+
+
 def test_exact_numbers_read_from_strings_and_integers_alike():
     descriptor = ManifoldDescriptor.from_record({"dim": 8, "pontryagin_numbers": {"1,1": 3, "2": "-7/2"}})
     assert descriptor.number((1, 1)) == 3 and descriptor.number((2,)) == Fraction(-7, 2)

@@ -14,7 +14,6 @@ from ellgenus.dga import (
     divide_exact,
     exp_nilpotent,
     impose_relation,
-    parse_element,
     substitute,
     unit_inverse,
 )
@@ -232,10 +231,11 @@ def test_element_keeps_monomials_canonical():
     alg = ChernRootModel(1, 8).algebra
     with pytest.raises(ValueError, match="invalid monomial"):
         alg.gen("x1", power=-1)
-    for text in ("(3)·x1^0", "(1)·x1·x1", "(1)·H·H"):
+    x1, h = alg.index["x1"], alg.index["H"]
+    for mono in (((x1, 0),), ((x1, 1), (x1, 1)), ((h, 1), (h, 1))):
         with pytest.raises(ValueError, match="invalid monomial"):
-            parse_element(alg, dga.RATIONAL, text)
-    assert parse_element(alg, dga.RATIONAL, "(1)·x1^2") == alg.gen("x1") ** 2
+            alg.element({mono: 1})
+    assert alg.element({((x1, 2),): 1}) == alg.gen("x1") ** 2
     assert alg.gen("x1", power=5).is_zero()  # form degree 10 > 8
 
 
@@ -295,19 +295,8 @@ def test_scalar_tower_injections():
         coerce(dga.RATIONAL, 0.5)  # no implicit float -> exact
 
 
-def test_render_parse_round_trip_modes():
-    alg = make_algebra()
-    rng = Random(33)
-    # rational
-    el = random_element(alg, rng)
-    assert parse_element(alg, dga.RATIONAL, el.render()) == el
-    # pi mode
-    el = alg.gen("x1", dga.PI) * coerce(dga.PI, PiScalar.pi_power(-2, QI(0, Fraction(1, 3)))) + alg.one(dga.PI)
-    assert parse_element(alg, dga.PI, el.render()) == el
-    # qseries mode
-    el = alg.gen("x1", dga.QSERIES) * QSeries.constant(2) * eisenstein_q(1, 4) + alg.one(dga.QSERIES)
-    assert parse_element(alg, dga.QSERIES, el.render()) == el
-    # canonical example shape
+def test_render_shape():
+    """Monomials in form-degree order, each coefficient in parentheses."""
     alg2 = p_algebra()
     rendered = (alg2.one() + alg2.gen("p1") * alg2.gen("u") * Fraction(1, 2)).render()
     assert rendered == "(1) + (1/2)·p1·u"
@@ -325,13 +314,6 @@ def sample_element(alg, mode):
         dga.COMPLEX: complex(0.1, -2.5e-17),
     }[mode]
     return alg.one(mode) + alg.gen("x1", mode) * c + alg.gen("H", mode) * alg.gen("b", mode, 2)
-
-
-@pytest.mark.parametrize("mode", ALL_MODES)
-def test_render_parse_round_trip_every_mode(mode):
-    alg = make_algebra()
-    el = sample_element(alg, mode)
-    assert parse_element(alg, mode, el.render()) == el
 
 
 QI_VALUE = QI(Fraction(1, 2), -3)

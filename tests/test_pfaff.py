@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from ellgenus.geom import ChernRootModel
 from ellgenus.pfaff import (
     BlockIndex,
     _paired_skew_block,
-    _pf_eliminate,
+    _pf_matchings,
     _zero_block_pfaffian,
     a_hat_class,
     a_hat_mode_matrix,
@@ -163,27 +164,39 @@ def test_pfaffian_congruence():
         assert pfaffian(gtmg) == determinant(G) * pfaffian(M)
 
 
-def test_elimination_path_matches_expansion():
-    from ellgenus.pfaff import _pf_matchings
-
+def test_large_skew_pfaffians(unkeyed_pfaffian):
     rng = Random(17)
     m = rand_skew(rng, 10)
-    pf = pfaffian(m)  # elimination path (size > 8)
-    assert pf == _pf_matchings(m, tuple(range(10)))  # sign-sensitive
+    pf = pfaffian(m)
+    assert pf == unkeyed_pfaffian(m)  # sign-sensitive
     assert pf * pf == determinant(m)
     m12 = rand_skew(rng, 12)
     assert pfaffian(m12) * pfaffian(m12) == determinant(m12)
 
 
-def test_elimination_pivot_swap_sign():
-    from ellgenus.pfaff import _pf_matchings
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
-    rng = Random(19)
-    for _ in range(5):
-        m = rand_skew(rng, 10)
-        m[0][1] = scal(0)  # force the pivot search and row/column swaps
-        m[1][0] = scal(0)
-        assert pfaffian(m) == _pf_matchings(m, tuple(range(10)))
+
+def test_large_paired_block_is_a_determinant():
+    """The 80 x 80 paired block at r = 20: Pf [[0, A], [-A^T, 0]] = det A (40 x 40).
+
+    It has 2^20 perfect matchings with nonzero terms; keyed sub-Pfaffians make it
+    O(r) work.  Its 40 levels of pairings take no stack: the CLI admits paired
+    blocks past the recursion limit (1008 x 1008 at --roots 252 --dim 4)."""
+    model = ChernRootModel(20, 4)
+    paired = _paired_skew_block((1, 0), model, QI(Fraction(-3, 10), Fraction(6, 5)), dga.PI)
+    a = [row[40:] for row in paired[:40]]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        pf = pfaffian(paired)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert pf == determinant(a)  # sign (-1)^(40 * 39 / 2) = 1
 
 
 def test_determinant_singular_and_nilpotent():
@@ -545,20 +558,31 @@ def test_determinant_matches_the_dense_oracle(dense_determinant, mode, shape):
             assert [_items(e) for row in m for e in row] == before  # input untouched
 
 
+def _check_pfaffian(m, unkeyed_pfaffian, dense_pf_eliminate):
+    """The keyed expansion is the unkeyed one term for term (same last digits in
+    complex mode), and the dense elimination's value in exact mode."""
+    pf = _pf_matchings(m)
+    assert _items(pf) == _items(unkeyed_pfaffian(m))
+    if m[0][0].mode != dga.COMPLEX:
+        assert pf == dense_pf_eliminate(m)
+    return pf
+
+
 @pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
 @pytest.mark.parametrize("shape", ["dense", "block-diagonal", "swap", "no-unit"])
-def test_skew_elimination_matches_the_dense_oracle(dense_pf_eliminate, mode, shape):
+def test_pfaffian_matches_the_expansion_and_the_dense_oracle(unkeyed_pfaffian,
+                                                             dense_pf_eliminate, mode, shape):
     rng = Random(f"pf-{shape}-{mode}")
     for n in (4, 6, 10, 12):
         m = _skew_matrix(rng, mode, n, shape)
-        # above size 8 pfaffian itself takes the elimination path
-        new = pfaffian(m) if n > 8 else _pf_eliminate([row[:] for row in m])
-        assert _items(new) == _items(dense_pf_eliminate(m))
+        pf = _check_pfaffian(m, unkeyed_pfaffian, dense_pf_eliminate)
+        assert _items(pfaffian(m)) == _items(pf)
 
 
 @pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
 @pytest.mark.parametrize("r", [2, 3])
-def test_block_kernels_match_the_dense_oracles(dense_determinant, dense_pf_eliminate, mode, r):
+def test_block_kernels_match_the_dense_oracles(dense_determinant, dense_pf_eliminate,
+                                               unkeyed_pfaffian, mode, r):
     model = ChernRootModel(r, 4 * r)
     tau = QI(Fraction(-3, 10), Fraction(6, 5))
     if mode == dga.COMPLEX:
@@ -567,8 +591,8 @@ def test_block_kernels_match_the_dense_oracles(dense_determinant, dense_pf_elimi
         block = normalized_block_matrix(idx, model, tau, mode)
         assert _items(determinant(block)) == _items(dense_determinant(block))
         paired = _paired_skew_block(idx, model, tau, mode)
-        assert _items(_pf_eliminate([row[:] for row in paired])) == _items(
-            dense_pf_eliminate(paired))
+        pf = _check_pfaffian(paired, unkeyed_pfaffian, dense_pf_eliminate)
+        assert _items(pfaffian(paired)) == _items(pf)
 
 
 @pytest.mark.parametrize("mode", [dga.PI, dga.COMPLEX])
@@ -616,8 +640,10 @@ NON_UNITS = [
 
 
 @pytest.mark.parametrize("terms,mode", NON_UNITS)
-def test_non_units_are_no_pivots(dense_determinant, dense_pf_eliminate, terms, mode):
-    """The pivot searches pass over them, as in the dense kernels."""
+def test_non_units_are_no_pivots(dense_determinant, dense_pf_eliminate, unkeyed_pfaffian,
+                                 terms, mode):
+    """The determinant's pivot search passes over them, as in the dense kernel; the
+    Pfaffian expansion multiplies them like any other entry."""
     rng = Random(f"non-unit-{terms}-{mode}")
     bad = ELIM_ALG.element(terms, mode)
     for n in (3, 4, 5):
@@ -628,4 +654,4 @@ def test_non_units_are_no_pivots(dense_determinant, dense_pf_eliminate, terms, m
     for n in (4, 10):
         m = _skew_matrix(rng, mode, n, "dense")
         m[0][1], m[1][0] = bad, -bad  # nan + -nan is nan: skew to no one but the kernels
-        assert _items(_pf_eliminate([row[:] for row in m])) == _items(dense_pf_eliminate(m))
+        _check_pfaffian(m, unkeyed_pfaffian, dense_pf_eliminate)

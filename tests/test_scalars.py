@@ -62,11 +62,6 @@ def test_qi_field_ops():
         QI(0).inverse()
 
 
-def test_qi_parse_round_trip():
-    for v in (QI(1), QI(-3, 2), QI(Fraction(3, 4), Fraction(-1, 2)), QI(0, 1), QI(0, -5)):
-        assert QI.parse(v.compact()) == v
-
-
 def test_pi_scalar_laurent_ops():
     two_pi = PiScalar.pi_power(1, 2)
     inv = two_pi.inverse()
@@ -79,21 +74,20 @@ def test_pi_scalar_laurent_ops():
     assert x.to_complex() == pytest.approx(9.8696044 - 3, rel=1e-6)
 
 
+@pytest.mark.parametrize("value", [Fraction(3), Fraction(1, 2), Fraction(0)])
+def test_equal_exact_scalars_hash_alike(value):
+    same = [value, QI(value), PiScalar.of(value)] + ([int(value)] if value.denominator == 1 else [])
+    assert all(a == b for a in same for b in same)
+    assert len(set(same)) == 1
+    assert len({QI(value, 1), PiScalar.of(QI(value, 1))}) == 1
+
+
 def test_pi_scalar_as_fraction():
     assert PiScalar.of(Fraction(2, 7)).as_fraction() == Fraction(2, 7)
     with pytest.raises(ValueError):
         PiScalar.pi_power(2).as_fraction()
     with pytest.raises(ValueError):
         PiScalar.of(QI(0, 1)).as_fraction()
-
-
-def test_pi_scalar_parse_round_trip():
-    for v in (
-        PiScalar.of(1),
-        PiScalar({-2: QI(Fraction(1, 4)), 0: QI(-1, 2)}),
-        PiScalar.pi_power(3, QI(0, Fraction(-5, 3))),
-    ):
-        assert PiScalar.parse(v.compact()) == v
 
 
 def random_part(rng):
@@ -147,7 +141,6 @@ def test_qi_matches_the_fraction_pair_oracle_on_random_pairs(fraction_qi):
         assert x.compact() == ox.compact() and repr(x) == repr(ox).replace("FractionQI", "QI")
         assert repr(x.to_complex()) == repr(ox.to_complex())  # signed zeros too
         # equal values built by different routes share one (a, b, d)
-        assert triple(QI.parse(x.compact())) == triple(x)
         assert triple(x + y - y) == triple(x) == triple(QI(x.re, x.im))
         assert triple(QI(x.re) + QI(0, x.im)) == triple(x)
 
